@@ -139,7 +139,7 @@ class Rule(ast.NodeVisitor):
 
 
 def _dotted_tail(expr: ast.AST) -> Optional[str]:
-    """Textual attribute chain (``self._faults.injector``) without resolution."""
+    """Textual attribute chain (``self._hooks.injector``) without resolution."""
     parts: List[str] = []
     node = expr
     while isinstance(node, ast.Attribute):

@@ -1,8 +1,8 @@
 """The runtime half of the chaos layer: consuming a materialised fault plan.
 
 A :class:`FaultInjector` is built once per serve from a
-:class:`~repro.chaos.FaultPlan` and installed on a
-:class:`~repro.cloud.CloudEnvironment`'s fault domain.  The cloud services
+:class:`~repro.chaos.FaultPlan` and armed in the ``injector`` slot of a
+:class:`~repro.cloud.CloudEnvironment`'s hook domain.  The cloud services
 then consult it from their interception points:
 
 * ``check(service, operation, resource, now)`` -- queues, topics, buckets

@@ -16,14 +16,12 @@ from typing import Optional
 
 from .billing import BillingLedger, CostReport
 from .blockstore import BlockStorageService
-from .contention import ContentionDomain
 from .faas import FaaSPlatform
-from .faults import FaultDomain
+from .hooks import HookDomain
 from .objectstore import ObjectStorageService
 from .pricing import PriceBook
 from .pubsub import PubSubService
 from .queues import QueueService
-from .telemetry import TelemetryDomain
 from .timing import LatencyModel
 from .vm import VMService
 
@@ -55,85 +53,28 @@ class CloudEnvironment:
     ):
         self.latency = latency or LatencyModel()
         self.prices = prices or PriceBook()
-        #: one telemetry domain shared by every service: installing a tracer
-        #: here arms all instrumentation points of this environment.
-        self.telemetry = TelemetryDomain()
-        self.ledger = BillingLedger(self.prices, telemetry=self.telemetry)
-        #: one fault domain shared by every service: installing a chaos
-        #: injector here arms all interception points of this environment.
-        self.faults = FaultDomain()
-        #: one contention domain shared by the four channel services:
-        #: installing the concurrency engine's op collector here arms all
-        #: contention instrumentation points of this environment.
-        self.contention = ContentionDomain()
+        #: one observer mount shared by every service: setting a slot
+        #: (``injector``, ``channel_retry``, ``tracer``, ``arbiter``) arms
+        #: every hook of that kind in this environment.
+        self.hooks = HookDomain()
+        self.ledger = BillingLedger(self.prices, hooks=self.hooks)
         self.faas = FaaSPlatform(
             self.ledger,
             self.latency,
             self.prices,
             concurrency_limit=faas_concurrency_limit,
             warm_keepalive_seconds=faas_warm_keepalive_seconds,
-            faults=self.faults,
-            telemetry=self.telemetry,
-            contention=self.contention,
+            hooks=self.hooks,
         )
-        self.pubsub = PubSubService(
-            self.ledger,
-            self.latency,
-            self.prices,
-            faults=self.faults,
-            telemetry=self.telemetry,
-            contention=self.contention,
-        )
-        self.queues = QueueService(
-            self.ledger,
-            self.latency,
-            self.prices,
-            faults=self.faults,
-            telemetry=self.telemetry,
-            contention=self.contention,
-        )
+        self.pubsub = PubSubService(self.ledger, self.latency, self.prices, hooks=self.hooks)
+        self.queues = QueueService(self.ledger, self.latency, self.prices, hooks=self.hooks)
         self.object_storage = ObjectStorageService(
-            self.ledger,
-            self.latency,
-            self.prices,
-            faults=self.faults,
-            telemetry=self.telemetry,
-            contention=self.contention,
+            self.ledger, self.latency, self.prices, hooks=self.hooks
         )
         self.block_storage = BlockStorageService(
-            self.ledger, self.latency, self.prices, faults=self.faults, telemetry=self.telemetry
+            self.ledger, self.latency, self.prices, hooks=self.hooks
         )
         self.vms = VMService(self.ledger, self.latency, self.prices)
-
-    # -- chaos ---------------------------------------------------------------------
-
-    def install_chaos(self, injector, channel_retry=None) -> None:
-        """Arm every fault-injection interception point of this environment."""
-        self.faults.install(injector, channel_retry)
-
-    def clear_chaos(self) -> None:
-        """Disarm fault injection (back to the fault-free substrate)."""
-        self.faults.clear()
-
-    # -- telemetry -----------------------------------------------------------------
-
-    def install_telemetry(self, tracer) -> None:
-        """Arm every telemetry instrumentation point of this environment."""
-        self.telemetry.install(tracer)
-
-    def clear_telemetry(self) -> None:
-        """Disarm telemetry (back to the untraced substrate)."""
-        self.telemetry.clear()
-
-    # -- contention ----------------------------------------------------------------
-
-    def install_contention(self, arbiter) -> None:
-        """Arm every contention instrumentation point of this environment."""
-        self.contention.install(arbiter)
-
-    def clear_contention(self) -> None:
-        """Disarm contention collection (back to the uncollected substrate)."""
-        self.contention.clear()
 
     # -- convenience ---------------------------------------------------------------
 

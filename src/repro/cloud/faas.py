@@ -47,10 +47,8 @@ from .errors import (
     ResourceAlreadyExistsError,
     ResourceNotFoundError,
 )
-from .contention import ContentionDomain
-from .faults import FaultDomain
+from .hooks import HookDomain
 from .pricing import PriceBook
-from .telemetry import TelemetryDomain
 from .timing import LatencyModel, VirtualClock
 
 __all__ = [
@@ -183,7 +181,7 @@ class FunctionInvocation:
         """Close the invocation, bill it, and return its total runtime."""
         if self.finished:
             return self.runtime_seconds
-        injector = self._platform.faults.injector
+        injector = self._platform.hooks.injector
         if injector is not None and enforce_timeout and self.failed_reason is None:
             kill_time = injector.preemption_kill_time(
                 self.function_name, self.started_at, self.clock.now
@@ -261,16 +259,12 @@ class FaaSPlatform:
         prices: PriceBook,
         concurrency_limit: int = 1000,
         warm_keepalive_seconds: Optional[float] = None,
-        faults: Optional[FaultDomain] = None,
-        telemetry: Optional[TelemetryDomain] = None,
-        contention: Optional[ContentionDomain] = None,
+        hooks: Optional[HookDomain] = None,
     ):
         self.ledger = ledger
         self.latency = latency
         self.prices = prices
-        self.faults = faults or FaultDomain()
-        self.telemetry = telemetry or TelemetryDomain()
-        self.contention = contention or ContentionDomain()
+        self.hooks = hooks or HookDomain()
         self.concurrency_limit = concurrency_limit
         #: None keeps the legacy timeless reuse rule; a number makes warm
         #: reuse depend on the idle gap between invocations (shared timeline).
@@ -350,13 +344,13 @@ class FaaSPlatform:
         else:
             request_time = 0.0
 
-        injector = self.faults.injector
+        injector = self.hooks.injector
         if injector is not None:
             # May flush warm pools (deploy storms) or raise a retryable
             # preemption/transient error before any environment is claimed.
             injector.on_faas_request(self, name, request_time)
 
-        tracer = self.telemetry.tracer
+        tracer = self.hooks.tracer
         if tracer is not None:
             tracer.channel_op("faas", "invoke", name, request_time)
             # Pre-claim occupancy: what a request arriving now could reuse.
@@ -437,7 +431,7 @@ class FaaSPlatform:
             if invocation._finish_time is not None
             else invocation.clock.now
         )
-        tracer = self.telemetry.tracer
+        tracer = self.hooks.tracer
         if tracer is not None:
             tracer.record_span(
                 "invocation",
@@ -453,7 +447,7 @@ class FaaSPlatform:
                 1.0,
                 ended_at,
             )
-        arbiter = self.contention.arbiter
+        arbiter = self.hooks.arbiter
         if arbiter is not None:
             arbiter.invocation(invocation.function_name, invocation.started_at, ended_at)
         self._active_invocations = max(0, self._active_invocations - 1)

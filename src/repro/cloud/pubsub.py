@@ -30,11 +30,9 @@ from .errors import (
     ResourceAlreadyExistsError,
     ResourceNotFoundError,
 )
-from .contention import ContentionDomain
-from .faults import FaultDomain
+from .hooks import HookDomain
 from .pricing import PriceBook
 from .queues import AttributeValue, Queue, QueueMessage
-from .telemetry import TelemetryDomain
 from .timing import LatencyModel, VirtualClock
 
 __all__ = [
@@ -95,17 +93,13 @@ class Topic:
         ledger: BillingLedger,
         latency: LatencyModel,
         prices: PriceBook,
-        faults: Optional[FaultDomain] = None,
-        telemetry: Optional[TelemetryDomain] = None,
-        contention: Optional[ContentionDomain] = None,
+        hooks: Optional[HookDomain] = None,
     ):
         self.name = name
         self._ledger = ledger
         self._latency = latency
         self._prices = prices
-        self._faults = faults or FaultDomain()
-        self._telemetry = telemetry or TelemetryDomain()
-        self._contention = contention or ContentionDomain()
+        self._hooks = hooks or HookDomain()
         self._subscriptions: List[Subscription] = []
         self.total_publish_calls = 0
         self.total_messages_published = 0
@@ -143,16 +137,16 @@ class Topic:
 
         duration = self._latency.pubsub_publish(payload_bytes)
         clock.advance(duration)
-        injector = self._faults.injector
+        injector = self._hooks.injector
         if injector is not None:
             injector.check("pubsub", "publish", self.name, clock.now)
-        tracer = self._telemetry.tracer
+        tracer = self._hooks.tracer
         if tracer is not None:
             tracer.channel_op(
                 "pubsub", "publish", self.name, clock.now,
                 messages=len(messages), bytes=payload_bytes,
             )
-        arbiter = self._contention.arbiter
+        arbiter = self._hooks.arbiter
         if arbiter is not None:
             arbiter.channel_op("pubsub", "publish", self.name, clock.now, duration)
         self.total_publish_calls += 1
@@ -209,16 +203,12 @@ class PubSubService:
         ledger: BillingLedger,
         latency: LatencyModel,
         prices: PriceBook,
-        faults: Optional[FaultDomain] = None,
-        telemetry: Optional[TelemetryDomain] = None,
-        contention: Optional[ContentionDomain] = None,
+        hooks: Optional[HookDomain] = None,
     ):
         self._ledger = ledger
         self._latency = latency
         self._prices = prices
-        self._faults = faults or FaultDomain()
-        self._telemetry = telemetry or TelemetryDomain()
-        self._contention = contention or ContentionDomain()
+        self._hooks = hooks or HookDomain()
         self._topics: Dict[str, Topic] = {}
 
     def create_topic(self, name: str) -> Topic:
@@ -229,9 +219,7 @@ class PubSubService:
             self._ledger,
             self._latency,
             self._prices,
-            faults=self._faults,
-            telemetry=self._telemetry,
-            contention=self._contention,
+            hooks=self._hooks,
         )
         self._topics[name] = topic
         return topic

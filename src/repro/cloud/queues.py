@@ -31,10 +31,8 @@ from .errors import (
     ResourceAlreadyExistsError,
     ResourceNotFoundError,
 )
-from .contention import ContentionDomain
-from .faults import FaultDomain
+from .hooks import HookDomain
 from .pricing import PriceBook
-from .telemetry import TelemetryDomain
 from .timing import LatencyModel, VirtualClock
 
 __all__ = ["QueueMessage", "Queue", "QueueService", "MAX_RECEIVE_BATCH", "MAX_MESSAGE_BYTES"]
@@ -79,17 +77,13 @@ class Queue:
         ledger: BillingLedger,
         latency: LatencyModel,
         prices: PriceBook,
-        faults: Optional[FaultDomain] = None,
-        telemetry: Optional[TelemetryDomain] = None,
-        contention: Optional[ContentionDomain] = None,
+        hooks: Optional[HookDomain] = None,
     ):
         self.name = name
         self._ledger = ledger
         self._latency = latency
         self._prices = prices
-        self._faults = faults or FaultDomain()
-        self._telemetry = telemetry or TelemetryDomain()
-        self._contention = contention or ContentionDomain()
+        self._hooks = hooks or HookDomain()
         self._messages: List[QueueMessage] = []
         self.total_messages_received = 0
         self.total_api_calls = 0
@@ -120,15 +114,15 @@ class Queue:
         self._validate_message(message)
         duration = self._latency.queue_send(message.size_bytes)
         clock.advance(duration)
-        injector = self._faults.injector
+        injector = self._hooks.injector
         if injector is not None:
             injector.check("queue", "send", self.name, clock.now)
-        tracer = self._telemetry.tracer
+        tracer = self._hooks.tracer
         if tracer is not None:
             tracer.channel_op("queue", "send", self.name, clock.now, bytes=message.size_bytes)
             # +1: the message is appended just below, on the same timestamp.
             tracer.gauge_sample(f"queue.depth.{self.name}", len(self._messages) + 1, clock.now)
-        arbiter = self._contention.arbiter
+        arbiter = self._hooks.arbiter
         if arbiter is not None:
             arbiter.channel_op("queue", "send", self.name, clock.now, duration)
         message.available_at = max(message.available_at, clock.now)
@@ -172,13 +166,13 @@ class Queue:
 
         duration = self._latency.queue_receive()
         clock.advance(duration)
-        injector = self._faults.injector
+        injector = self._hooks.injector
         if injector is not None:
             injector.check("queue", "receive", self.name, clock.now)
-        tracer = self._telemetry.tracer
+        tracer = self._hooks.tracer
         if tracer is not None:
             tracer.channel_op("queue", "receive", self.name, clock.now)
-        arbiter = self._contention.arbiter
+        arbiter = self._hooks.arbiter
         if arbiter is not None:
             arbiter.channel_op("queue", "receive", self.name, clock.now, duration)
         visible = self._visible_messages(clock.now)
@@ -210,7 +204,7 @@ class Queue:
         if len(messages) > MAX_RECEIVE_BATCH:
             raise BatchTooLargeError(len(messages), MAX_RECEIVE_BATCH, "queue")
         clock.advance(self._latency.queue_delete())
-        tracer = self._telemetry.tracer
+        tracer = self._hooks.tracer
         if tracer is not None:
             tracer.channel_op("queue", "delete", self.name, clock.now, count=len(messages))
         self._bill("delete", 0, clock.now)
@@ -245,16 +239,12 @@ class QueueService:
         ledger: BillingLedger,
         latency: LatencyModel,
         prices: PriceBook,
-        faults: Optional[FaultDomain] = None,
-        telemetry: Optional[TelemetryDomain] = None,
-        contention: Optional[ContentionDomain] = None,
+        hooks: Optional[HookDomain] = None,
     ):
         self._ledger = ledger
         self._latency = latency
         self._prices = prices
-        self._faults = faults or FaultDomain()
-        self._telemetry = telemetry or TelemetryDomain()
-        self._contention = contention or ContentionDomain()
+        self._hooks = hooks or HookDomain()
         self._queues: Dict[str, Queue] = {}
 
     def create_queue(self, name: str) -> Queue:
@@ -265,9 +255,7 @@ class QueueService:
             self._ledger,
             self._latency,
             self._prices,
-            faults=self._faults,
-            telemetry=self._telemetry,
-            contention=self._contention,
+            hooks=self._hooks,
         )
         self._queues[name] = queue
         return queue

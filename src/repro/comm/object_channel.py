@@ -121,7 +121,7 @@ class ObjectChannel(CommChannel):
         bucket = self._bucket_for(target)
         has_data = len(global_rows) > 0 and rows.nnz > 0
 
-        retry = self.cloud.faults.channel_retry
+        retry = self.cloud.hooks.channel_retry
 
         if not has_data:
             key = self._key(layer, source, target, empty=True)
@@ -156,7 +156,7 @@ class ObjectChannel(CommChannel):
     ) -> PollResult:
         bucket = self._bucket_for(worker)
         prefix = self._prefix(layer, worker)
-        retry = self.cloud.faults.channel_retry
+        retry = self.cloud.hooks.channel_retry
         handles = self._with_transient_retry(
             retry, clock, lambda: bucket.list_objects(prefix, clock)
         )

@@ -10,7 +10,7 @@ of finishing each admitted unit at ``now + latency`` unconditionally, it
    stretches the serving-layer timeline, not the substrate's bills; see
    ROADMAP for this documented approximation),
 2. collects every channel op and FaaS invocation span the execution touched
-   (via the :class:`~repro.cloud.contention.ContentionDomain` mount),
+   (via the ``arbiter`` slot of the backend's :class:`~repro.cloud.HookDomain`),
 3. hands the op log to the :class:`~repro.concurrency.FairShareArbiter`,
    which interleaves it with every other in-flight unit's log and emits
    boundary events back onto the *same* server heap, and
@@ -57,7 +57,7 @@ __all__ = ["interleaved_serve"]
 class _OpCollector:
     """Collects one unit's channel/FaaS op spans during its solo execution.
 
-    Installed on the backend's :class:`~repro.cloud.contention.ContentionDomain`
+    Armed in the ``arbiter`` slot of the backend's :class:`~repro.cloud.HookDomain`
     around ``execute_batch``; the duck-typed counterpart of the arbiter hooks
     in the cloud services.  Channel resources are namespaced per query;
     ``"faas"`` stays platform-global so the invocation quota binds across
@@ -110,16 +110,14 @@ def interleaved_serve(server, workload: SporadicWorkload) -> ServingReport:
     contention = concurrency.contention
     arbiter = FairShareArbiter(contention)
 
+    hooks = backend.hooks
     tracer = None
     serve_span = None
     if config.telemetry is not None:
         tracer = config.telemetry.build_tracer()
-        backend.install_telemetry(tracer)
+        hooks.tracer = tracer
         serve_span = tracer.begin_span("serve", track="server", start=0.0, backend=backend.name)
-    backend.begin(workload)
     policies = config.policies
-    for policy in policies:
-        policy.begin(workload)
 
     events: List[Tuple[float, int, int, object]] = []
     seq = 0
@@ -161,11 +159,11 @@ def interleaved_serve(server, workload: SporadicWorkload) -> ServingReport:
                     f"queue/topic/bucket resources)"
                 )
             collector = _OpCollector(namespace)
-            backend.install_contention(collector)
+            hooks.arbiter = collector
             try:
                 outcomes = backend.execute_batch(list(unit), at_time=now)
             finally:
-                backend.clear_contention()
+                hooks.arbiter = None
             group = tuple(query.query_id for query in unit) if len(unit) > 1 else ()
             if tracer is not None and len(unit) > 1:
                 tracer.event("coalesced", track="server", t=now, group=list(group))
@@ -190,52 +188,61 @@ def interleaved_serve(server, workload: SporadicWorkload) -> ServingReport:
             inflight_namespaces[namespace] = leader.query_id
             in_flight += 1
 
-    while events:
-        now, kind, _, payload = heapq.heappop(events)
-        if kind == _ARRIVAL:
-            query = payload
-            decision = None
-            for policy in policies:
-                decision = policy.on_arrival(query, now)
-                if decision is not None:
-                    break
-            if decision is None:
-                pending.append((query,))
-            elif decision.tick_at is not None:
-                heapq.heappush(events, (decision.tick_at, _POLICY_TICK, seq, None))
-                seq += 1
-        elif kind == _COMPLETION:
-            if payload[0] == "chain":
-                _, chain, generation = payload
-                result = arbiter.on_event(chain, generation, now)
-                if result is None:
-                    continue  # stale: the chain was rescheduled meanwhile
-                finished, reschedules = result
-                for when, new_generation, rechain in reschedules:
-                    heapq.heappush(
-                        events, (when, _COMPLETION, seq, ("chain", rechain, new_generation))
-                    )
+    # The tracer slot is disarmed in the ``finally``, even when a namespace
+    # collision or a backend error aborts the serve.
+    try:
+        backend.begin(workload)
+        for policy in policies:
+            policy.begin(workload)
+        while events:
+            now, kind, _, payload = heapq.heappop(events)
+            if kind == _ARRIVAL:
+                query = payload
+                decision = None
+                for policy in policies:
+                    decision = policy.on_arrival(query, now)
+                    if decision is not None:
+                        break
+                if decision is None:
+                    pending.append((query,))
+                elif decision.tick_at is not None:
+                    heapq.heappush(events, (decision.tick_at, _POLICY_TICK, seq, None))
                     seq += 1
-                if not finished:
-                    continue  # internal boundary crossing: no admission change
-                slot = slot_by_chain.pop(chain.key)
-            else:
-                slot = payload[1]
-            del inflight_namespaces[slot.namespace]
-            in_flight -= 1
-            for policy in policies:
-                policy.on_completion(now, in_flight=in_flight, queue_depth=len(pending))
-        else:  # policy tick
-            for policy in policies:
-                for unit in policy.on_tick(now):
-                    if unit:
-                        pending.append(tuple(unit))
-        admit(now)
-        if tracer is not None:
-            tracer.gauge_sample("server.queue_depth", float(len(pending)), now)
-            tracer.gauge_sample("server.in_flight", float(in_flight), now)
+            elif kind == _COMPLETION:
+                if payload[0] == "chain":
+                    _, chain, generation = payload
+                    result = arbiter.on_event(chain, generation, now)
+                    if result is None:
+                        continue  # stale: the chain was rescheduled meanwhile
+                    finished, reschedules = result
+                    for when, new_generation, rechain in reschedules:
+                        heapq.heappush(
+                            events, (when, _COMPLETION, seq, ("chain", rechain, new_generation))
+                        )
+                        seq += 1
+                    if not finished:
+                        continue  # internal boundary crossing: no admission change
+                    slot = slot_by_chain.pop(chain.key)
+                else:
+                    slot = payload[1]
+                del inflight_namespaces[slot.namespace]
+                in_flight -= 1
+                for policy in policies:
+                    policy.on_completion(now, in_flight=in_flight, queue_depth=len(pending))
+            else:  # policy tick
+                for policy in policies:
+                    for unit in policy.on_tick(now):
+                        if unit:
+                            pending.append(tuple(unit))
+            admit(now)
+            if tracer is not None:
+                tracer.gauge_sample("server.queue_depth", float(len(pending)), now)
+                tracer.gauge_sample("server.in_flight", float(in_flight), now)
 
-    cost = backend.finish()
+        cost = backend.finish()
+    finally:
+        if tracer is not None:
+            hooks.tracer = None
 
     # Materialize records in admission order -- the serialized loop's record
     # order -- now that every chain's final delay is known.  With all delays
@@ -303,7 +310,6 @@ def interleaved_serve(server, workload: SporadicWorkload) -> ServingReport:
     if tracer is not None:
         serve_end = max((record.finished_at for record in records), default=0.0)
         tracer.end_span(serve_span, serve_end)
-        backend.clear_telemetry()
 
     # The "concurrency" summary key is opt-in twice over: only a *bounded*
     # contention config can stretch a timeline, so only a bounded config adds

@@ -42,6 +42,7 @@ from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple, Uni
 from ..chaos import ChaosConfig
 from ..concurrency import ConcurrencyConfig
 from ..serving import InferenceServer, SchedulingPolicy, ServingBackend, ServingConfig
+from ..serving.server import REPLAY_MODES
 from ..telemetry import TelemetryConfig
 from ..telemetry.export import write_chrome_trace
 from ..workloads import SporadicWorkload
@@ -408,15 +409,15 @@ class Campaign:
                 "rejects chaos together with concurrency)"
             )
         # Replay-speed knobs, threaded into every cell's ServingConfig.
-        # ``replay_mode`` picks the event core ("exact", "auto"/"columnar"
-        # fast path, or the "fluid" analytic approximation); ``outcome_cache``
-        # memoises whole executions across a cell's repeated (model, batch)
-        # fingerprints.  Both default off so historical campaign fingerprints
-        # replay unchanged; chaos cells always fall back to the exact loop.
+        # ``replay_mode`` picks the event core ("exact" or the "auto"/
+        # "columnar" fast path); ``outcome_cache`` memoises whole executions
+        # across a cell's repeated (model, batch) fingerprints.  Both default
+        # off so historical campaign fingerprints replay unchanged; chaos
+        # cells always fall back to the exact loop.
         self.replay_mode = str(replay_mode)
-        if self.replay_mode not in ("exact", "auto", "columnar", "fluid"):
+        if self.replay_mode not in REPLAY_MODES:
             raise ValueError(
-                "replay_mode must be one of 'exact', 'auto', 'columnar', 'fluid'; "
+                f"replay_mode must be one of {', '.join(map(repr, REPLAY_MODES))}; "
                 f"got {self.replay_mode!r}"
             )
         self.outcome_cache = bool(outcome_cache)

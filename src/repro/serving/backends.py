@@ -37,7 +37,7 @@ from ..baselines import (
     run_hpc_query,
     run_server_query,
 )
-from ..cloud import CloudEnvironment, CostReport, LatencyModel
+from ..cloud import CloudEnvironment, CostReport, HookDomain, LatencyModel
 from ..comm import ChannelStats
 from ..core import EngineConfig, FSDInference
 from ..model import SparseDNN
@@ -189,59 +189,21 @@ class ServingBackend(ABC):
     def set_outcome_caching(self, enabled: bool) -> None:
         """Toggle Tier-A outcome memoisation (no-op without the mixin)."""
 
-    # -- chaos hooks ---------------------------------------------------------
-    #
-    # Backends running on a simulated cloud (``self.cloud``) arm/disarm that
-    # environment's fault domain; substrate-free backends (HPC) are no-ops.
+    @property
+    def hooks(self) -> HookDomain:
+        """The observer mount the serve loop arms (chaos, telemetry, contention).
 
-    def install_chaos(self, injector: Any, channel_retry: Any = None) -> None:
-        """Arm the backend's cloud environment with a fault injector."""
+        Backends running on a simulated cloud (``self.cloud``) share that
+        environment's domain; substrate-free backends (HPC) get a private
+        detached one, so arming it observes nothing and the serve loop needs
+        no special case.
+        """
         cloud = getattr(self, "cloud", None)
         if cloud is not None:
-            cloud.install_chaos(injector, channel_retry)
-
-    def clear_chaos(self) -> None:
-        """Disarm fault injection on the backend's cloud environment."""
-        cloud = getattr(self, "cloud", None)
-        if cloud is not None:
-            cloud.clear_chaos()
-
-    # -- telemetry hooks -----------------------------------------------------
-    #
-    # Same shape as the chaos hooks: backends running on a simulated cloud
-    # arm/disarm that environment's telemetry domain; substrate-free
-    # backends (HPC) are no-ops and still trace at the server level.
-
-    def install_telemetry(self, tracer: Any) -> None:
-        """Arm the backend's cloud environment with a tracer."""
-        cloud = getattr(self, "cloud", None)
-        if cloud is not None:
-            cloud.install_telemetry(tracer)
-
-    def clear_telemetry(self) -> None:
-        """Disarm telemetry on the backend's cloud environment."""
-        cloud = getattr(self, "cloud", None)
-        if cloud is not None:
-            cloud.clear_telemetry()
-
-    # -- contention hooks ----------------------------------------------------
-    #
-    # Same shape again: the interleaved serve loop mounts an op collector
-    # around each unit's solo execution so the fair-share arbiter can stretch
-    # overlapping timelines afterwards.  Substrate-free backends (HPC)
-    # collect nothing and interleave without contention.
-
-    def install_contention(self, collector: Any) -> None:
-        """Arm the backend's cloud environment with a contention op collector."""
-        cloud = getattr(self, "cloud", None)
-        if cloud is not None:
-            cloud.install_contention(collector)
-
-    def clear_contention(self) -> None:
-        """Disarm contention collection on the backend's cloud environment."""
-        cloud = getattr(self, "cloud", None)
-        if cloud is not None:
-            cloud.clear_contention()
+            return cloud.hooks
+        if "_detached_hooks" not in self.__dict__:
+            self._detached_hooks = HookDomain()
+        return self._detached_hooks
 
     def attempt_begin(self) -> Any:
         """Snapshot backend state before a dispatch that may fail mid-flight."""

@@ -57,7 +57,11 @@ __all__ = [
     "ServingReport",
     "InferenceServer",
     "peak_overlap",
+    "REPLAY_MODES",
 ]
+
+#: the accepted ``replay_mode`` values (see :class:`ServingConfig`).
+REPLAY_MODES: Tuple[str, ...] = ("exact", "auto", "columnar")
 
 #: event-kind priorities: at equal virtual times, completions release their
 #: slots first, policy ticks (e.g. coalescing-window deadlines) flush next,
@@ -135,15 +139,13 @@ class ServingConfig:
     outcome_cache: bool = False
     #: replay strategy: ``"exact"`` (the event loop, default), ``"auto"`` or
     #: ``"columnar"`` (Tier-B numpy fast path when no policies/chaos/bound
-    #: are configured, exact loop otherwise), ``"fluid"`` (Tier-C analytic
-    #: approximation; summaries are tagged).
+    #: are configured, exact loop otherwise).
     replay_mode: str = "exact"
     #: opt-in virtual-timeline tracing (:class:`~repro.telemetry.TelemetryConfig`).
     #: ``None`` -- the default -- installs nothing: every instrumentation
     #: point is a single ``if tracer is not None`` gate, so telemetry-off
     #: replays are byte-identical to the pre-telemetry serving layer.  The
-    #: exact loop and the columnar fast path emit the same span set; fluid
-    #: replays are analytic and record no trace.
+    #: exact loop and the columnar fast path emit the same span set.
     telemetry: Optional[TelemetryConfig] = None
     #: opt-in interleaved execution with channel contention modelling
     #: (:class:`~repro.concurrency.ConcurrencyConfig`).  ``None`` -- the
@@ -157,9 +159,9 @@ class ServingConfig:
     def __post_init__(self) -> None:
         if self.max_concurrent_queries is not None and self.max_concurrent_queries < 1:
             raise ValueError("max_concurrent_queries must be at least 1 (or None)")
-        if self.replay_mode not in ("exact", "auto", "columnar", "fluid"):
+        if self.replay_mode not in REPLAY_MODES:
             raise ValueError(
-                f"replay_mode must be one of 'exact', 'auto', 'columnar', 'fluid'; "
+                f"replay_mode must be one of {', '.join(map(repr, REPLAY_MODES))}; "
                 f"got {self.replay_mode!r}"
             )
         if self.concurrency is not None:
@@ -256,8 +258,8 @@ class ServingReport:
     #: serve (:class:`~repro.serving.replaycore.ReportColumns`); aggregates
     #: below read the arrays directly instead of materialising records.
     columns: Optional[object] = field(default=None, repr=False, compare=False)
-    #: which replay tier produced this report (``None``/"exact" for the
-    #: event loop); only ``"fluid"`` changes the summary fingerprint.
+    #: which replay tier produced this report (``None`` for the event loop,
+    #: ``"columnar"`` for the fast path); never part of the summary.
     replay_mode: Optional[str] = field(default=None, compare=False)
     #: the :class:`~repro.telemetry.Tracer` that recorded this serve, when
     #: ``ServingConfig(telemetry=...)`` was set; ``None`` otherwise.
@@ -514,11 +516,6 @@ class ServingReport:
             summary["policies"] = [policy.describe() for policy in self.config.policies]
             summary["coalesced_query_count"] = self.coalesced_query_count
             summary["execution_count"] = self.execution_count
-        # Fluid replays are approximate by construction: tag them so their
-        # fingerprints can never shadow an exact one.  Exact and columnar
-        # replays add nothing, keeping historical fingerprints bit-for-bit.
-        if self.replay_mode == "fluid":
-            summary["replay_mode"] = "fluid"
         # Tenant pivot only when the workload actually carries tenant tags, so
         # untagged workloads keep their historical fingerprints bit-for-bit.
         if self.columns is not None:
@@ -641,10 +638,7 @@ class InferenceServer:
         ):
             from . import replaycore
 
-            if config.replay_mode == "fluid":
-                report = replaycore.fluid_serve(self, workload)
-            else:
-                report = replaycore.columnar_serve(self, workload)
+            report = replaycore.columnar_serve(self, workload)
             if report is not None:
                 return report
         return self._serve_exact(workload)
@@ -660,33 +654,31 @@ class InferenceServer:
         Admission times are non-decreasing, so the FaaS warm pool observes a
         causally consistent request sequence.
         """
+        hooks = self.backend.hooks
         chaos = self.config.chaos
         injector = None
         if chaos is not None:
             injector = chaos.build_injector(workload.horizon_seconds)
-            self.backend.install_chaos(injector, chaos.channel_retry)
-        # Telemetry mirrors the chaos mount: one tracer per serve, installed
-        # on the backend's cloud before begin() so setup-phase channel ops
-        # are captured too; every use below is gated on ``tracer is not
-        # None`` so the untraced loop is byte-identical to before.
+            hooks.injector = injector
+            hooks.channel_retry = chaos.channel_retry
+        # Telemetry mirrors the chaos mount: one tracer per serve, armed on
+        # the backend's hooks before begin() so setup-phase channel ops are
+        # captured too; every use below is gated on ``tracer is not None``
+        # so the untraced loop is byte-identical to before.  Every slot armed
+        # here is reset in the ``finally`` below, even when the serve raises.
         tracer: Optional[Tracer] = None
         serve_span = None
         if self.config.telemetry is not None:
             tracer = self.config.telemetry.build_tracer()
-            self.backend.install_telemetry(tracer)
+            hooks.tracer = tracer
             serve_span = tracer.begin_span(
                 "serve", track="server", start=0.0, backend=self.backend.name
             )
-        self.backend.begin(workload)
         # Tier-A outcome memoisation is opt-in and chaos is its hard
         # boundary: fault injection is time-positional, so a chaos serve
         # must re-simulate every execution.
         use_cache = self.config.outcome_cache and chaos is None
-        if use_cache:
-            self.backend.set_outcome_caching(True)
         policies = self.config.policies
-        for policy in policies:
-            policy.begin(workload)
 
         events: List[Tuple[float, int, int, Optional[InferenceQuery]]] = []
         seq = 0
@@ -972,6 +964,11 @@ class InferenceServer:
                 seq += 1
 
         try:
+            self.backend.begin(workload)
+            if use_cache:
+                self.backend.set_outcome_caching(True)
+            for policy in policies:
+                policy.begin(workload)
             while events:
                 now, kind, _, payload = heapq.heappop(events)
                 if kind == _ARRIVAL:
@@ -1006,12 +1003,14 @@ class InferenceServer:
         finally:
             if use_cache:
                 self.backend.set_outcome_caching(False)
-        if chaos is not None:
-            self.backend.clear_chaos()
+            if chaos is not None:
+                hooks.injector = None
+                hooks.channel_retry = None
+            if tracer is not None:
+                hooks.tracer = None
         if tracer is not None:
             serve_end = max((record.finished_at for record in records), default=0.0)
             tracer.end_span(serve_span, serve_end)
-            self.backend.clear_telemetry()
         return ServingReport(
             backend=self.backend.name,
             config=self.config,

@@ -9,8 +9,8 @@ recorded by the exact event loop or the columnar fast path.
 
 The tracer is mounted behind the same gating pattern the chaos injector
 proved out: the serving layer builds one :class:`Tracer` per serve when
-``ServingConfig(telemetry=...)`` is set and installs it on the backend's
-cloud environment via :class:`repro.cloud.TelemetryDomain`; every
+``ServingConfig(telemetry=...)`` is set and arms it in the ``tracer`` slot
+of the backend's :class:`repro.cloud.HookDomain`; every
 instrumentation point in the services is a single ``if tracer is not
 None`` check, so telemetry-off runs execute the exact same code -- and
 produce the exact same clocks, bills and fingerprints -- as before this

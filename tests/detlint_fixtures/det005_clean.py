@@ -5,14 +5,14 @@
 class Channel:
     def send(self, message, clock):
         clock.advance(0.001)
-        injector = self._faults.injector
+        injector = self._hooks.injector
         if injector is not None:
             injector.check("queue", "send", self.name, clock.now)
         self._messages.append(message)
         self.total_sends = self.total_sends + 1
 
     def receive(self, clock, enforce_timeout=True):
-        injector = self._faults.injector
+        injector = self._hooks.injector
         if injector is not None and enforce_timeout:
             try:
                 injector.check("queue", "receive", self.name, clock.now)

@@ -5,7 +5,7 @@
 class Channel:
     def send(self, message, clock):
         clock.advance(0.001)
-        tracer = self._telemetry.tracer
+        tracer = self._hooks.tracer
         if tracer is not None:
             tracer.channel_op("queue", "send", self.name, clock.now)
             tracer.gauge_sample("queue.depth", len(self._messages) + 1, clock.now)
@@ -14,7 +14,7 @@ class Channel:
 
     def receive(self, clock):
         clock.advance(0.001)
-        tracer = self._telemetry.tracer
+        tracer = self._hooks.tracer
         if tracer is not None:
             tracer.channel_op("queue", "receive", self.name, clock.now)
         messages = list(self._messages)

@@ -6,7 +6,7 @@ class Channel:
     def send(self, message, clock):
         duration = 0.001
         clock.advance(duration)
-        arbiter = self._contention.arbiter
+        arbiter = self._hooks.arbiter
         if arbiter is not None:
             arbiter.channel_op("queue", "send", self.name, clock.now, duration)
         self._messages.append(message)
@@ -15,7 +15,7 @@ class Channel:
     def receive(self, clock):
         duration = 0.001
         clock.advance(duration)
-        arbiter = self._contention.arbiter
+        arbiter = self._hooks.arbiter
         if arbiter is not None:
             arbiter.channel_op("queue", "receive", self.name, clock.now, duration)
         messages = list(self._messages)

@@ -76,10 +76,24 @@ class TestFixtureCorpus:
         ungated = (
             "class C:\n"
             "    def f(self, clock):\n"
-            "        self._telemetry.tracer.channel_op('q', 'op', 'r', clock.now)\n"
+            "        self._hooks.tracer.channel_op('q', 'op', 'r', clock.now)\n"
         )
         assert lint_source(ungated, "src/repro/serving/server.py").findings == []
         assert lint_source(ungated, "src/repro/cloud/queues.py").findings != []
+
+    def test_gates_are_per_slot_not_per_domain(self):
+        # One function reads two slots of the same hook domain: the gated
+        # injector must not vouch for the ungated tracer.
+        src = (
+            "class C:\n"
+            "    def f(self, clock):\n"
+            "        injector = self._hooks.injector\n"
+            "        if injector is not None:\n"
+            "            injector.check('q', 'op', 'r', clock.now)\n"
+            "        self._hooks.tracer.channel_op('q', 'op', 'r', clock.now)\n"
+        )
+        findings = lint_source(src, "src/repro/cloud/queues.py").findings
+        assert [(f.rule, f.symbol) for f in findings] == [("DET008", "channel_op")]
 
     def test_det007_flags_each_container_kind(self):
         result = lint_fixture("det007_fire.py")
@@ -103,7 +117,7 @@ class TestFixtureCorpus:
         ungated = (
             "class C:\n"
             "    def f(self, clock):\n"
-            "        self._faults.injector.check('q', 'op', 'r', clock.now)\n"
+            "        self._hooks.injector.check('q', 'op', 'r', clock.now)\n"
         )
         assert lint_source(ungated, "src/repro/serving/backends.py").findings == []
 

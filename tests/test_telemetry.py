@@ -166,7 +166,6 @@ class TestColumnarParity:
             ServingConfig(telemetry=TelemetryConfig(), replay_mode="columnar"),
             workload,
         )
-        assert columnar.summary().get("replay_mode") != "fluid"
         assert _span_tuples(columnar.telemetry) == _span_tuples(exact.telemetry)
         assert columnar.telemetry.summary() == exact.telemetry.summary()
 
