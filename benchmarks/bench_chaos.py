@@ -20,7 +20,9 @@ The storm is replayed **twice** and the record is only written if both
 replays produce the identical summary -- the benchmark doubles as a
 determinism check.  The harness also asserts the storm actually degraded
 service (``availability < 1.0``): a storm nothing survives of, or one that
-injects nothing, is a configuration bug, not a benchmark.
+injects nothing, is a configuration bug, not a benchmark.  A ``--quick``
+run must also reproduce the fingerprint of the quick ``seed`` record in
+``BENCH_chaos.json``, or it exits non-zero without writing.
 
 Usage::
 
@@ -42,6 +44,7 @@ sys.path.insert(0, str(_HERE))
 sys.path.insert(0, str(_HERE.parent / "src"))
 
 from common import (  # noqa: E402
+    check_pinned_fingerprint,
     SERVING_SEED,
     append_record,
     git_rev,
@@ -139,7 +142,16 @@ def run(quick: bool = False, label: str | None = None) -> dict:
         "replay": first,
     }
 
-    append_record(RESULT_PATH, record)
+    # A failed check aborts before the history file is touched.
+    append_record(
+        RESULT_PATH,
+        record,
+        reference_check=(
+            (lambda: check_pinned_fingerprint(RESULT_PATH, record["fingerprint"]))
+            if quick
+            else None
+        ),
+    )
 
     replay = record["replay"]
     print(f"chaos benchmark -- label={record['label']} rev={record['git_rev']}")

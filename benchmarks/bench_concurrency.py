@@ -22,7 +22,9 @@ Both serves are replayed **twice** and the record is only written when the
 two passes agree exactly -- the benchmark doubles as a determinism check.
 The harness also asserts the contended p99 strictly exceeds the serialized
 p99: a flash crowd that nothing contends over means the config is
-miscalibrated, not that the engine is fast.
+miscalibrated, not that the engine is fast.  A ``--quick`` run must also
+reproduce the fingerprint of the quick ``seed`` record in
+``BENCH_concurrency.json``, or it exits non-zero without writing.
 
 Usage::
 
@@ -44,6 +46,7 @@ sys.path.insert(0, str(_HERE))
 sys.path.insert(0, str(_HERE.parent / "src"))
 
 from common import (  # noqa: E402
+    check_pinned_fingerprint,
     append_record,
     git_rev,
     serving_bench_workloads,
@@ -152,7 +155,16 @@ def run(quick: bool = False, label: str | None = None) -> dict:
         "replay": first,
     }
 
-    append_record(RESULT_PATH, record)
+    # A failed check aborts before the history file is touched.
+    append_record(
+        RESULT_PATH,
+        record,
+        reference_check=(
+            (lambda: check_pinned_fingerprint(RESULT_PATH, record["fingerprint"]))
+            if quick
+            else None
+        ),
+    )
 
     replay = record["replay"]
     concurrency = replay["simulated"]["contended"]["concurrency"]

@@ -260,6 +260,30 @@ def append_record(path: Path, record: dict, reference_check=None) -> None:
     path.write_text(json.dumps(history, indent=2) + "\n")
 
 
+def check_pinned_fingerprint(path: Path, fingerprint: str, label: str = "seed") -> None:
+    """Raise unless ``fingerprint`` equals the quick ``label`` record's in ``path``.
+
+    A quick run replays exactly the configuration that record pinned, so a
+    change to what the serve loop computes fails here -- not only when two
+    replays in one run disagree.  A missing reference record also fails.
+    """
+    history = json.loads(path.read_text()) if path.exists() else {}
+    references = [
+        record
+        for record in history.get("records", [])
+        if record.get("label") == label and record.get("quick")
+    ]
+    if not references:
+        raise RuntimeError(f"no quick '{label}' record in {path.name} to check against")
+    pinned = references[0]["fingerprint"]
+    if fingerprint != pinned:
+        raise RuntimeError(
+            f"quick fingerprint {fingerprint} differs from the pinned '{label}' "
+            f"fingerprint {pinned} in {path.name}: the simulated results changed"
+        )
+    print(f"  quick fingerprint matches the pinned '{label}' record ({pinned})")
+
+
 def git_rev() -> str:
     """Short git revision of the repo (benchmark record provenance)."""
     try:

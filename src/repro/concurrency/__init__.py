@@ -1,9 +1,9 @@
 """Concurrent-execution engine: interleaved query timelines with contention.
 
-The serialized serving loop (:meth:`repro.serving.InferenceServer._serve_exact`)
-executes each admitted unit to completion before the next admission touches
-the shared timeline, so overlapping queries never contend for queues, topics,
-buckets, or FaaS capacity.  This package closes that gap:
+The serialized serve (:class:`repro.serving.server.ServeLoop`) executes each
+admitted unit to completion before the next admission touches the shared
+timeline, so overlapping queries never contend for queues, topics, buckets,
+or FaaS capacity.  This package closes that gap:
 
 * :mod:`repro.concurrency.config` -- :class:`ContentionConfig` (per-class
   channel capacities plus the platform-wide FaaS invocation quota) and
@@ -13,9 +13,10 @@ buckets, or FaaS capacity.  This package closes that gap:
   :class:`FairShareArbiter`: an op overlapping ``k`` peers on a resource of
   capacity ``c < k`` progresses at rate ``c/k``, recomputed at every
   entry/exit boundary.
-* :mod:`repro.concurrency.interleave` -- the discrete-event interleaver that
-  decomposes each admitted unit's replay into timed sub-events and merges all
-  in-flight queries' sub-event streams onto the server heap.
+* :mod:`repro.concurrency.interleave` -- the interleaved serve: the same
+  ``ServeLoop`` with a different dispatch, which decomposes each admitted
+  unit's replay into timed sub-events and merges all in-flight queries'
+  sub-event streams onto the loop's heap.
 
 Gating contract (the same rule every opt-in subsystem follows):
 ``ServingConfig(concurrency=None)`` -- the default -- and an enabled engine

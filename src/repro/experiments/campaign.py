@@ -412,8 +412,9 @@ class Campaign:
         # ``replay_mode`` picks the event core ("exact" or the "auto"/
         # "columnar" fast path); ``outcome_cache`` memoises whole executions
         # across a cell's repeated (model, batch) fingerprints.  Both default
-        # off so historical campaign fingerprints replay unchanged; chaos
-        # cells always fall back to the exact loop.
+        # off so historical campaign fingerprints replay unchanged.  Under
+        # "auto", policy, bounded and chaos cells fall back to the exact
+        # loop; ServingConfig rejects them under "columnar".
         self.replay_mode = str(replay_mode)
         if self.replay_mode not in REPLAY_MODES:
             raise ValueError(

@@ -783,7 +783,7 @@ def columnar_serve(server, workload):
     policies, no chaos, unbounded concurrency) -- the caller checks that.
     Returns ``None`` to signal "use the exact loop" for degenerate inputs.
     """
-    from .server import ServingReport
+    from .server import ServingReport, arm_tracer, emit_query_spans
 
     backend = server.backend
     config = server.config
@@ -801,20 +801,13 @@ def columnar_serve(server, workload):
     if not any(tenant is not None for tenant in tenants):
         tenants = None
 
-    # Telemetry mounts exactly as in the exact loop -- tracer armed before
+    # Telemetry mounts exactly as in the event loop -- tracer armed before
     # begin(), serve root span at t=0, disarmed in the ``finally`` below --
-    # and the per-query emission mirrors ``admit()``'s, so both paths produce
-    # the same span set with the same sequential ids (pinned by
+    # and the per-query spans come from the loop's own helper, so both paths
+    # produce the same span set with the same sequential ids (pinned by
     # tests/test_telemetry.py).
     hooks = backend.hooks
-    tracer = None
-    serve_span = None
-    if config.telemetry is not None:
-        tracer = config.telemetry.build_tracer()
-        hooks.tracer = tracer
-        serve_span = tracer.begin_span(
-            "serve", track="server", start=0.0, backend=backend.name
-        )
+    tracer, serve_span = arm_tracer(config, backend)
 
     cloud = getattr(backend, "cloud", None)
     sink: Optional[ColumnarSink] = None
@@ -846,27 +839,13 @@ def columnar_serve(server, workload):
             if sink is None and outcome.channel_stats is not None:
                 channel_total.accumulate(outcome.channel_stats)
             if tracer is not None:
-                query_span = tracer.record_span(
-                    "query",
-                    track="queries",
-                    start=at_time,
-                    end=at_time + outcome.latency_seconds,
-                    parent=serve_span,
-                    query_id=query.query_id,
-                    neurons=query.neurons,
-                    samples=query.samples,
-                    outcome="completed",
-                    attempts=1,
-                )
-                tracer.record_span(
-                    "attempt",
-                    track="queries",
-                    start=at_time,
-                    end=at_time + outcome.latency_seconds,
-                    parent=query_span,
-                    attempt=1,
-                    cold_starts=outcome.cold_starts,
-                    warm_starts=outcome.warm_starts,
+                emit_query_spans(
+                    tracer,
+                    serve_span,
+                    query,
+                    outcome,
+                    at_time,
+                    at_time + outcome.latency_seconds,
                 )
         finish_report = backend.finish()
         cost_report = sink.cost_report() if sink is not None else finish_report
@@ -880,7 +859,7 @@ def columnar_serve(server, workload):
 
     finished = np.asarray(finishes, dtype=np.float64)
     if tracer is not None:
-        # Same float op as the exact loop's serve end: max over finished_at.
+        # Same float op as the event loop's serve end: max over finished_at.
         tracer.end_span(serve_span, float(finished.max()) if finished.size else 0.0)
     columns = ReportColumns(
         query_id=query_id,

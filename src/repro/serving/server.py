@@ -17,13 +17,15 @@ trace through **one shared** :class:`~repro.cloud.CloudEnvironment`, so
   and aggregate (daily :class:`CostReport`, p50/p95/p99 latency, peak
   concurrency).
 
-The scheduler is an explicit event loop over one heap carrying three event
-kinds -- **completion**, **policy tick**, **arrival**, processed in that
-order at equal times -- so scheduling policies
+The scheduler is one explicit event loop (:class:`ServeLoop`) over one heap
+carrying three event kinds -- **completion**, **policy tick**, **arrival**,
+processed in that order at equal times -- so scheduling policies
 (:mod:`repro.serving.policies`) can hold arrivals (batch coalescing) or
 adjust the admission limit (queue-depth autoscaling) without touching the
-replay mechanics.  With no policies configured the loop reproduces the
-original inline admission loop bit-for-bit.
+replay mechanics.  The serialized, chaos and interleaved serves all run on
+it and differ only in how a unit is dispatched and what a completion means.
+With no policies configured the loop reproduces the original inline
+admission loop bit-for-bit.
 
 Invariant: replaying a single query arriving at ``t=0`` on a cold pool is
 *exactly* ``FSDInference.infer`` -- same output bytes, latency, cost and
@@ -45,10 +47,10 @@ from ..chaos import ChaosConfig
 from ..concurrency import ConcurrencyConfig
 from ..cloud import CloudError, CostReport
 from ..comm import ChannelStats
-from ..telemetry import TelemetryConfig, Tracer
+from ..telemetry import Span, TelemetryConfig, Tracer
 from ..telemetry.export import critical_path as _trace_critical_path
 from ..workloads import InferenceQuery, SporadicWorkload
-from .backends import ServingBackend
+from .backends import QueryOutcome, ServingBackend, split_by_samples
 from .policies import SchedulingPolicy
 
 __all__ = [
@@ -137,9 +139,10 @@ class ServingConfig:
     #: historical fingerprint is produced with the cache off.  Chaos serves
     #: always bypass the cache regardless of this flag.
     outcome_cache: bool = False
-    #: replay strategy: ``"exact"`` (the event loop, default), ``"auto"`` or
-    #: ``"columnar"`` (Tier-B numpy fast path when no policies/chaos/bound
-    #: are configured, exact loop otherwise).
+    #: replay strategy: ``"exact"`` (the event loop, default), ``"columnar"``
+    #: (the Tier-B numpy fast path; rejected together with policies, chaos
+    #: or an admission bound, which it cannot honour) or ``"auto"`` (the
+    #: fast path when none of those are configured, the event loop otherwise).
     replay_mode: str = "exact"
     #: opt-in virtual-timeline tracing (:class:`~repro.telemetry.TelemetryConfig`).
     #: ``None`` -- the default -- installs nothing: every instrumentation
@@ -164,6 +167,22 @@ class ServingConfig:
                 f"replay_mode must be one of {', '.join(map(repr, REPLAY_MODES))}; "
                 f"got {self.replay_mode!r}"
             )
+        if self.replay_mode == "columnar":
+            unsupported = [
+                name
+                for name, is_set in (
+                    ("policies", bool(self.policies)),
+                    ("chaos", self.chaos is not None),
+                    ("max_concurrent_queries", self.max_concurrent_queries is not None),
+                )
+                if is_set
+            ]
+            if unsupported:
+                raise ValueError(
+                    f"replay_mode='columnar' admits every arrival immediately and "
+                    f"cannot honour {', '.join(unsupported)}; use replay_mode='auto' "
+                    f"to fall back to the event loop"
+                )
         if self.concurrency is not None:
             if not isinstance(self.concurrency, ConcurrencyConfig):
                 raise ValueError(
@@ -580,28 +599,422 @@ class ServingReport:
         return _trace_critical_path(self.telemetry, query_id)
 
 
-def _split_cost(total: float, queries: Tuple[InferenceQuery, ...]) -> List[float]:
-    """Split an aborted-attempt cost over a unit's queries, by sample share.
+def arm_tracer(
+    config: ServingConfig, backend: ServingBackend
+) -> Tuple[Optional[Tracer], Optional[Span]]:
+    """Build a serve's tracer, arm it on ``backend``'s hooks, open the serve span.
 
-    Same attribution rule as :func:`~repro.serving.backends.split_batch_outcome`:
-    proportional to samples with the last query absorbing the floating-point
-    remainder, so the shares sum exactly to ``total``.
+    Returns ``(None, None)`` when telemetry is off.  Armed before
+    ``backend.begin()`` so setup-phase channel ops are captured too; the
+    caller resets ``hooks.tracer`` in its ``finally``.
     """
-    if total == 0.0:
-        return [0.0] * len(queries)
-    total_samples = sum(query.samples for query in queries)
-    shares: List[float] = []
-    remaining = total
-    for index, query in enumerate(queries):
-        if index == len(queries) - 1:
-            share = remaining
-        elif total_samples > 0:
-            share = total * query.samples / total_samples
-        else:
-            share = total / len(queries)
-        remaining -= share
-        shares.append(share)
-    return shares
+    if config.telemetry is None:
+        return None, None
+    tracer = config.telemetry.build_tracer()
+    backend.hooks.tracer = tracer
+    return tracer, tracer.begin_span("serve", track="server", start=0.0, backend=backend.name)
+
+
+def emit_query_spans(
+    tracer: Tracer,
+    parent: Optional[Span],
+    query: InferenceQuery,
+    outcome: QueryOutcome,
+    dispatched_at: float,
+    finished_at: float,
+    attempts: int = 1,
+) -> Span:
+    """Record a completed query's ``"query"`` span and its ``"attempt"`` child."""
+    query_span = tracer.record_span(
+        "query",
+        track="queries",
+        start=query.arrival_time,
+        end=finished_at,
+        parent=parent,
+        query_id=query.query_id,
+        neurons=query.neurons,
+        samples=query.samples,
+        outcome="completed",
+        attempts=attempts,
+    )
+    tracer.record_span(
+        "attempt",
+        track="queries",
+        start=dispatched_at,
+        end=finished_at,
+        parent=query_span,
+        attempt=attempts,
+        cold_starts=outcome.cold_starts,
+        warm_starts=outcome.warm_starts,
+    )
+    return query_span
+
+
+class ServeLoop:
+    """One serve's event loop, shared by every event-driven replay.
+
+    Events -- completions, policy ticks, arrivals, in that order at equal
+    times -- are drained from one heap.  Arrivals are either claimed by a
+    policy (held for a coalescing window) or appended to the admission
+    queue; after every event, as many queued units as the admission limit
+    allows are dispatched at the current virtual time.  Admission times are
+    non-decreasing, so the FaaS warm pool observes a causally consistent
+    request sequence.
+
+    The loop owns the heap, the admission queue, the policy hooks, the hook
+    slots a serve arms (tracer, chaos injector, channel retry), the record
+    emission and the report.  Variants differ only in :meth:`dispatch` (how
+    an admitted unit runs) and :meth:`complete` (what a completion event
+    means): this class is the serialized serve, :class:`_ResilientLoop` the
+    chaos serve, and :mod:`repro.concurrency.interleave` the interleaved one.
+    """
+
+    def __init__(self, server: "InferenceServer", workload: SporadicWorkload):
+        self.backend = server.backend
+        self.config = server.config
+        self.workload = workload
+        self.events: List[Tuple[float, int, int, object]] = []
+        self.seq = 0
+        for query in workload.iter_trace():
+            self.push(query.arrival_time, _ARRIVAL, query)
+        self.pending: Deque[Tuple[InferenceQuery, ...]] = deque()
+        self.in_flight = 0
+        self.records: List[QueryRecord] = []
+        self.channel_total = ChannelStats()
+        self.injector = None
+        self.tracer: Optional[Tracer] = None
+        self.serve_span: Optional[Span] = None
+
+    def push(self, when: float, kind: int, payload: object = None) -> None:
+        heapq.heappush(self.events, (when, kind, self.seq, payload))
+        self.seq += 1
+
+    def occupy(self, until: float) -> None:
+        """Hold one admission slot until a completion event at ``until``."""
+        self.in_flight += 1
+        self.push(until, _COMPLETION)
+
+    def current_limit(self) -> Optional[int]:
+        limit = self.config.max_concurrent_queries
+        for policy in self.config.policies:
+            limit = policy.admission_limit(
+                limit, queue_depth=len(self.pending), in_flight=self.in_flight
+            )
+        return limit
+
+    def admit(self, now: float) -> None:
+        pending = self.pending
+        while pending:
+            limit = self.current_limit()
+            if limit is not None and self.in_flight >= limit:
+                break
+            self.dispatch(pending.popleft(), now)
+
+    def dispatch(self, unit: Tuple[InferenceQuery, ...], now: float) -> None:
+        """Run one admitted unit at ``now`` and hold its slot until it finishes."""
+        outcomes = self.backend.execute_batch(list(unit), at_time=now)
+        self.record_unit(unit, outcomes, now, now)
+        self.occupy(now + outcomes[0].latency_seconds)
+
+    def complete(self, payload: object, now: float) -> bool:
+        """Handle a completion event; ``True`` when it frees an admission slot."""
+        return True
+
+    def unit_group(self, unit: Tuple[InferenceQuery, ...], t: float) -> Tuple[int, ...]:
+        """A merged unit's query ids, announced by one ``coalesced`` event.
+
+        Empty (and no event) for a unit of one query.
+        """
+        if len(unit) < 2:
+            return ()
+        group = tuple(query.query_id for query in unit)
+        if self.tracer is not None:
+            self.tracer.event("coalesced", track="server", t=t, group=list(group))
+        return group
+
+    def record_unit(
+        self,
+        unit: Tuple[InferenceQuery, ...],
+        outcomes: List[QueryOutcome],
+        started_at: float,
+        dispatched_at: float,
+        attempts: int = 1,
+        shares: Optional[List[float]] = None,
+        delay: float = 0.0,
+    ) -> None:
+        """Record one completed unit: records, channel stats, trace.
+
+        Each query finishes at ``(dispatched_at + latency) + delay``, never
+        ``dispatched_at + (latency + delay)``: with ``delay == 0.0`` that is
+        bit-for-bit the serialized finish.  ``shares`` adds an aborted-attempt
+        cost per query (chaos retries); ``delay`` is contention interference.
+        """
+        tracer = self.tracer
+        group = self.unit_group(unit, started_at)
+        for index, (query, outcome) in enumerate(zip(unit, outcomes)):
+            if outcome.channel_stats is not None:
+                self.channel_total.accumulate(outcome.channel_stats)
+            solo_finish = dispatched_at + outcome.latency_seconds
+            finished_at = solo_finish + delay
+            self.records.append(
+                QueryRecord(
+                    query_id=query.query_id,
+                    neurons=query.neurons,
+                    samples=query.samples,
+                    arrival_time=query.arrival_time,
+                    started_at=started_at,
+                    finished_at=finished_at,
+                    cost=outcome.cost if shares is None else outcome.cost + shares[index],
+                    cold_starts=outcome.cold_starts,
+                    warm_starts=outcome.warm_starts,
+                    coalesced_group=group,
+                    tenant=query.tenant,
+                    attempts=attempts,
+                    interference_seconds=delay,
+                )
+            )
+            if tracer is not None:
+                query_span = emit_query_spans(
+                    tracer, self.serve_span, query, outcome, dispatched_at, finished_at, attempts
+                )
+                if delay > 0.0:
+                    # The stretch contention added beyond the solo finish.
+                    tracer.record_span(
+                        "contended_wait",
+                        track="queries",
+                        start=solo_finish,
+                        end=finished_at,
+                        parent=query_span,
+                        interference_seconds=delay,
+                    )
+
+    def run(self) -> CostReport:
+        """Drain the heap and return the backend's cost report.
+
+        Every hook slot armed here is reset in the ``finally``, even when
+        the serve raises.
+        """
+        backend, config, workload = self.backend, self.config, self.workload
+        hooks = backend.hooks
+        chaos = config.chaos
+        policies = config.policies
+        # Tier-A outcome memoisation is opt-in.  Chaos (faults are
+        # time-positional) and interleaving (op logs must reflect the true
+        # warm pool) re-simulate every execution.
+        use_cache = config.outcome_cache and chaos is None and config.concurrency is None
+        if chaos is not None:
+            self.injector = chaos.build_injector(workload.horizon_seconds)
+            hooks.injector = self.injector
+            hooks.channel_retry = chaos.channel_retry
+        self.tracer, self.serve_span = arm_tracer(config, backend)
+        tracer = self.tracer
+        events, pending = self.events, self.pending
+        try:
+            backend.begin(workload)
+            if use_cache:
+                backend.set_outcome_caching(True)
+            for policy in policies:
+                policy.begin(workload)
+            while events:
+                now, kind, _, payload = heapq.heappop(events)
+                if kind == _ARRIVAL:
+                    decision = None
+                    for policy in policies:
+                        decision = policy.on_arrival(payload, now)
+                        if decision is not None:
+                            break
+                    if decision is None:
+                        pending.append((payload,))
+                    elif decision.tick_at is not None:
+                        self.push(decision.tick_at, _POLICY_TICK)
+                elif kind == _COMPLETION:
+                    if not self.complete(payload, now):
+                        continue
+                    self.in_flight -= 1
+                    for policy in policies:
+                        policy.on_completion(
+                            now, in_flight=self.in_flight, queue_depth=len(pending)
+                        )
+                else:  # policy tick
+                    for policy in policies:
+                        for unit in policy.on_tick(now):
+                            if unit:
+                                pending.append(tuple(unit))
+                self.admit(now)
+                if tracer is not None:
+                    tracer.gauge_sample("server.queue_depth", float(len(pending)), now)
+                    tracer.gauge_sample("server.in_flight", float(self.in_flight), now)
+            return backend.finish()
+        finally:
+            if use_cache:
+                backend.set_outcome_caching(False)
+            if chaos is not None:
+                hooks.injector = None
+                hooks.channel_retry = None
+            if tracer is not None:
+                hooks.tracer = None
+
+    def report(
+        self, cost: CostReport, concurrency_stats: Optional[Dict[str, object]] = None
+    ) -> ServingReport:
+        """Close the serve span and build the report from the recorded units."""
+        records = self.records
+        if self.tracer is not None:
+            serve_end = max((record.finished_at for record in records), default=0.0)
+            self.tracer.end_span(self.serve_span, serve_end)
+        return ServingReport(
+            backend=self.backend.name,
+            config=self.config,
+            horizon_seconds=self.workload.horizon_seconds,
+            records=records,
+            cost=cost,
+            peak_concurrent_queries=peak_overlap(
+                (record.started_at, record.finished_at) for record in records
+            ),
+            peak_concurrent_workers=peak_overlap(self.backend.worker_intervals()),
+            channel_stats=self.channel_total,
+            fault_counts=dict(self.injector.injected_counts) if self.injector is not None else {},
+            telemetry=self.tracer,
+            concurrency_stats=concurrency_stats,
+        )
+
+    def serve(self) -> ServingReport:
+        return self.report(self.run())
+
+
+class _ResilientLoop(ServeLoop):
+    """The chaos serve: each unit is shed, retried or degraded, never crashes.
+
+    Whatever faults fire, a unit always ends as records with a structured
+    outcome.  A failed or completed dispatch occupies an admission slot
+    until its completion event; a shed unit never takes a slot.
+    """
+
+    def dispatch(self, unit: Tuple[InferenceQuery, ...], now: float) -> None:
+        chaos = self.config.chaos
+        backend, tracer = self.backend, self.tracer
+        leader = unit[0]
+        deadline = chaos.deadline_seconds
+
+        if deadline is not None and now - leader.arrival_time > deadline:
+            # Load shedding: the unit is already past its deadline before
+            # dispatch, so drop it instead of burning backend capacity.
+            self._record_unserved(unit, now, now, "shed", 0, "deadline_exceeded", 0.0)
+            if tracer is not None:
+                tracer.event(
+                    "shed",
+                    track="server",
+                    t=now,
+                    query_id=leader.query_id,
+                    reason="deadline_exceeded",
+                )
+            return
+
+        retry = chaos.retry
+        attempt = 1
+        dispatch_at = now
+        aborted_cost = 0.0
+        outcomes = None
+        error: Optional[CloudError] = None
+        while True:
+            token = backend.attempt_begin()
+            try:
+                outcomes = backend.execute_batch(list(unit), at_time=dispatch_at)
+                break
+            except CloudError as caught:
+                # The aborted attempt's bills stay in the ledger; surface
+                # them on the records too (partial billing).
+                aborted_cost += backend.attempt_abort(token)
+                error = caught
+                if tracer is not None:
+                    tracer.event(
+                        "fault",
+                        track="server",
+                        t=dispatch_at,
+                        query_id=leader.query_id,
+                        error=type(caught).__name__,
+                        attempt=attempt,
+                    )
+                retry_at = None
+                if retry is not None and retry.should_retry(caught, attempt):
+                    candidate = dispatch_at + retry.backoff_seconds(
+                        attempt, token=leader.query_id
+                    )
+                    # Don't re-dispatch past the deadline: the retried query
+                    # could never finish in time anyway.
+                    if deadline is None or candidate - leader.arrival_time <= deadline:
+                        retry_at = candidate
+                if retry_at is None:
+                    break
+                if tracer is not None:
+                    tracer.event(
+                        "retry",
+                        track="server",
+                        t=retry_at,
+                        query_id=leader.query_id,
+                        attempt=attempt + 1,
+                    )
+                dispatch_at = retry_at
+                attempt += 1
+
+        if outcomes is None:
+            # Permanent failure: record it with the partial billing and let
+            # the slot go through the normal completion event.
+            assert error is not None
+            reason = type(error).__name__
+            self._record_unserved(unit, now, dispatch_at, "failed", attempt, reason, aborted_cost)
+            self.occupy(dispatch_at)
+            return
+        shares = split_by_samples(aborted_cost, unit)
+        self.record_unit(unit, outcomes, now, dispatch_at, attempts=attempt, shares=shares)
+        self.occupy(dispatch_at + outcomes[0].latency_seconds)
+
+    def _record_unserved(
+        self,
+        unit: Tuple[InferenceQuery, ...],
+        started_at: float,
+        finished_at: float,
+        outcome: str,
+        attempts: int,
+        reason: str,
+        cost: float,
+    ) -> None:
+        """Record a shed or failed unit, ``cost`` split over it by samples."""
+        tracer = self.tracer
+        group = self.unit_group(unit, started_at)
+        for query, share in zip(unit, split_by_samples(cost, unit)):
+            self.records.append(
+                QueryRecord(
+                    query_id=query.query_id,
+                    neurons=query.neurons,
+                    samples=query.samples,
+                    arrival_time=query.arrival_time,
+                    started_at=started_at,
+                    finished_at=finished_at,
+                    cost=share,
+                    cold_starts=0,
+                    warm_starts=0,
+                    coalesced_group=group,
+                    tenant=query.tenant,
+                    outcome=outcome,
+                    attempts=attempts,
+                    failure_reason=reason,
+                )
+            )
+            if tracer is not None:
+                tracer.record_span(
+                    "query",
+                    track="queries",
+                    start=query.arrival_time,
+                    end=finished_at,
+                    parent=self.serve_span,
+                    query_id=query.query_id,
+                    neurons=query.neurons,
+                    samples=query.samples,
+                    outcome=outcome,
+                    attempts=attempts,
+                    failure_reason=reason,
+                )
 
 
 class InferenceServer:
@@ -614,17 +1027,16 @@ class InferenceServer:
     def serve(self, workload: SporadicWorkload) -> ServingReport:
         """Replay every query of ``workload``.
 
-        Dispatches to the vectorized replay core
-        (:mod:`repro.serving.replaycore`) when the configuration opts in
-        (``replay_mode`` other than ``"exact"``) *and* the event loop would
+        ``replay_mode="columnar"`` (or ``"auto"`` when the event loop would
         degenerate to immediate admission -- no policies, no chaos, no
-        concurrency bound.  Everything else (and the default) runs the exact
-        event loop; chaos always does.
+        concurrency bound) runs the vectorized replay core
+        (:mod:`repro.serving.replaycore`); a ``concurrency`` config runs the
+        interleaved loop (:mod:`repro.concurrency.interleave`).  Everything
+        else, and the default, runs the :class:`ServeLoop`.
         """
         config = self.config
         if config.concurrency is not None:
-            # Interleaved execution replaces the serialized loop wholesale;
-            # imported lazily to keep repro.concurrency importable without
+            # Imported lazily to keep repro.concurrency importable without
             # the serving layer.  Config validation already rejected chaos
             # and non-exact replay modes.
             from ..concurrency.interleave import interleaved_serve
@@ -641,387 +1053,5 @@ class InferenceServer:
             report = replaycore.columnar_serve(self, workload)
             if report is not None:
                 return report
-        return self._serve_exact(workload)
-
-    def _serve_exact(self, workload: SporadicWorkload) -> ServingReport:
-        """Replay every query of ``workload`` via the event loop.
-
-        Events (completions, policy ticks, arrivals -- in that order at
-        equal times) are drained from one heap.  Arrivals are either claimed
-        by a policy (held for a coalescing window) or appended to the
-        admission queue; after every event, as many queued units as the
-        admission limit allows are executed at the current virtual time.
-        Admission times are non-decreasing, so the FaaS warm pool observes a
-        causally consistent request sequence.
-        """
-        hooks = self.backend.hooks
-        chaos = self.config.chaos
-        injector = None
-        if chaos is not None:
-            injector = chaos.build_injector(workload.horizon_seconds)
-            hooks.injector = injector
-            hooks.channel_retry = chaos.channel_retry
-        # Telemetry mirrors the chaos mount: one tracer per serve, armed on
-        # the backend's hooks before begin() so setup-phase channel ops are
-        # captured too; every use below is gated on ``tracer is not None``
-        # so the untraced loop is byte-identical to before.  Every slot armed
-        # here is reset in the ``finally`` below, even when the serve raises.
-        tracer: Optional[Tracer] = None
-        serve_span = None
-        if self.config.telemetry is not None:
-            tracer = self.config.telemetry.build_tracer()
-            hooks.tracer = tracer
-            serve_span = tracer.begin_span(
-                "serve", track="server", start=0.0, backend=self.backend.name
-            )
-        # Tier-A outcome memoisation is opt-in and chaos is its hard
-        # boundary: fault injection is time-positional, so a chaos serve
-        # must re-simulate every execution.
-        use_cache = self.config.outcome_cache and chaos is None
-        policies = self.config.policies
-
-        events: List[Tuple[float, int, int, Optional[InferenceQuery]]] = []
-        seq = 0
-        for query in workload.iter_trace():
-            heapq.heappush(events, (query.arrival_time, _ARRIVAL, seq, query))
-            seq += 1
-
-        pending: Deque[Tuple[InferenceQuery, ...]] = deque()
-        records: List[QueryRecord] = []
-        channel_total = ChannelStats()
-        in_flight = 0
-
-        def current_limit() -> Optional[int]:
-            limit = self.config.max_concurrent_queries
-            for policy in policies:
-                limit = policy.admission_limit(
-                    limit, queue_depth=len(pending), in_flight=in_flight
-                )
-            return limit
-
-        def run_resilient(unit: Tuple[InferenceQuery, ...], now: float) -> None:
-            """Dispatch one unit under the chaos config: shed, retry, degrade.
-
-            Whatever faults fire, the unit always ends as records with a
-            structured outcome -- the serve loop itself never crashes.  A
-            failed or completed dispatch occupies an admission slot until its
-            completion event; a shed unit never takes a slot.
-            """
-            nonlocal in_flight, seq
-            leader = unit[0]
-            group = tuple(query.query_id for query in unit) if len(unit) > 1 else ()
-            deadline = chaos.deadline_seconds
-
-            if deadline is not None and now - leader.arrival_time > deadline:
-                # Load shedding: the unit is already past its deadline before
-                # dispatch, so drop it instead of burning backend capacity.
-                for query in unit:
-                    records.append(
-                        QueryRecord(
-                            query_id=query.query_id,
-                            neurons=query.neurons,
-                            samples=query.samples,
-                            arrival_time=query.arrival_time,
-                            started_at=now,
-                            finished_at=now,
-                            cost=0.0,
-                            cold_starts=0,
-                            warm_starts=0,
-                            coalesced_group=group,
-                            tenant=query.tenant,
-                            outcome="shed",
-                            attempts=0,
-                            failure_reason="deadline_exceeded",
-                        )
-                    )
-                if tracer is not None:
-                    tracer.event(
-                        "shed",
-                        track="server",
-                        t=now,
-                        query_id=leader.query_id,
-                        reason="deadline_exceeded",
-                    )
-                    for query in unit:
-                        tracer.record_span(
-                            "query",
-                            track="queries",
-                            start=query.arrival_time,
-                            end=now,
-                            parent=serve_span,
-                            query_id=query.query_id,
-                            neurons=query.neurons,
-                            samples=query.samples,
-                            outcome="shed",
-                            attempts=0,
-                        )
-                return
-
-            retry = chaos.retry
-            attempt = 1
-            dispatch_at = now
-            aborted_cost = 0.0
-            outcomes = None
-            error: Optional[CloudError] = None
-            while True:
-                token = self.backend.attempt_begin()
-                try:
-                    outcomes = self.backend.execute_batch(list(unit), at_time=dispatch_at)
-                    break
-                except CloudError as caught:
-                    # The aborted attempt's bills stay in the ledger; surface
-                    # them on the records too (partial billing).
-                    aborted_cost += self.backend.attempt_abort(token)
-                    error = caught
-                    if tracer is not None:
-                        tracer.event(
-                            "fault",
-                            track="server",
-                            t=dispatch_at,
-                            query_id=leader.query_id,
-                            error=type(caught).__name__,
-                            attempt=attempt,
-                        )
-                    retry_at = None
-                    if retry is not None and retry.should_retry(caught, attempt):
-                        candidate = dispatch_at + retry.backoff_seconds(
-                            attempt, token=leader.query_id
-                        )
-                        # Don't re-dispatch past the deadline: the retried
-                        # query could never finish in time anyway.
-                        if deadline is None or candidate - leader.arrival_time <= deadline:
-                            retry_at = candidate
-                    if retry_at is None:
-                        break
-                    if tracer is not None:
-                        tracer.event(
-                            "retry",
-                            track="server",
-                            t=retry_at,
-                            query_id=leader.query_id,
-                            attempt=attempt + 1,
-                        )
-                    dispatch_at = retry_at
-                    attempt += 1
-
-            shares = _split_cost(aborted_cost, unit)
-            if outcomes is None:
-                # Permanent failure: record it with the partial billing and
-                # let the slot go through the normal completion event.
-                assert error is not None
-                reason = type(error).__name__
-                for query, share in zip(unit, shares):
-                    records.append(
-                        QueryRecord(
-                            query_id=query.query_id,
-                            neurons=query.neurons,
-                            samples=query.samples,
-                            arrival_time=query.arrival_time,
-                            started_at=now,
-                            finished_at=dispatch_at,
-                            cost=share,
-                            cold_starts=0,
-                            warm_starts=0,
-                            coalesced_group=group,
-                            tenant=query.tenant,
-                            outcome="failed",
-                            attempts=attempt,
-                            failure_reason=reason,
-                        )
-                    )
-                if tracer is not None:
-                    for query in unit:
-                        tracer.record_span(
-                            "query",
-                            track="queries",
-                            start=query.arrival_time,
-                            end=dispatch_at,
-                            parent=serve_span,
-                            query_id=query.query_id,
-                            neurons=query.neurons,
-                            samples=query.samples,
-                            outcome="failed",
-                            attempts=attempt,
-                            failure_reason=reason,
-                        )
-                in_flight += 1
-                heapq.heappush(events, (dispatch_at, _COMPLETION, seq, None))
-                seq += 1
-                return
-
-            finished = dispatch_at + outcomes[0].latency_seconds
-            for query, outcome, share in zip(unit, outcomes, shares):
-                if outcome.channel_stats is not None:
-                    channel_total.accumulate(outcome.channel_stats)
-                records.append(
-                    QueryRecord(
-                        query_id=query.query_id,
-                        neurons=query.neurons,
-                        samples=query.samples,
-                        arrival_time=query.arrival_time,
-                        started_at=now,
-                        finished_at=dispatch_at + outcome.latency_seconds,
-                        cost=outcome.cost + share,
-                        cold_starts=outcome.cold_starts,
-                        warm_starts=outcome.warm_starts,
-                        coalesced_group=group,
-                        tenant=query.tenant,
-                        outcome="completed",
-                        attempts=attempt,
-                    )
-                )
-            if tracer is not None:
-                for query, outcome in zip(unit, outcomes):
-                    query_span = tracer.record_span(
-                        "query",
-                        track="queries",
-                        start=query.arrival_time,
-                        end=dispatch_at + outcome.latency_seconds,
-                        parent=serve_span,
-                        query_id=query.query_id,
-                        neurons=query.neurons,
-                        samples=query.samples,
-                        outcome="completed",
-                        attempts=attempt,
-                    )
-                    tracer.record_span(
-                        "attempt",
-                        track="queries",
-                        start=dispatch_at,
-                        end=dispatch_at + outcome.latency_seconds,
-                        parent=query_span,
-                        attempt=attempt,
-                        cold_starts=outcome.cold_starts,
-                        warm_starts=outcome.warm_starts,
-                    )
-            in_flight += 1
-            heapq.heappush(events, (finished, _COMPLETION, seq, None))
-            seq += 1
-
-        def admit(now: float) -> None:
-            nonlocal in_flight, seq
-            while pending:
-                limit = current_limit()
-                if limit is not None and in_flight >= limit:
-                    break
-                unit = pending.popleft()
-                if chaos is not None:
-                    run_resilient(unit, now)
-                    continue
-                outcomes = self.backend.execute_batch(list(unit), at_time=now)
-                finished = now + outcomes[0].latency_seconds
-                group = tuple(query.query_id for query in unit) if len(unit) > 1 else ()
-                if tracer is not None and len(unit) > 1:
-                    tracer.event(
-                        "coalesced",
-                        track="server",
-                        t=now,
-                        group=list(group),
-                    )
-                for query, outcome in zip(unit, outcomes):
-                    if outcome.channel_stats is not None:
-                        channel_total.accumulate(outcome.channel_stats)
-                    records.append(
-                        QueryRecord(
-                            query_id=query.query_id,
-                            neurons=query.neurons,
-                            samples=query.samples,
-                            arrival_time=query.arrival_time,
-                            started_at=now,
-                            finished_at=now + outcome.latency_seconds,
-                            cost=outcome.cost,
-                            cold_starts=outcome.cold_starts,
-                            warm_starts=outcome.warm_starts,
-                            coalesced_group=group,
-                            tenant=query.tenant,
-                        )
-                    )
-                    if tracer is not None:
-                        query_span = tracer.record_span(
-                            "query",
-                            track="queries",
-                            start=query.arrival_time,
-                            end=now + outcome.latency_seconds,
-                            parent=serve_span,
-                            query_id=query.query_id,
-                            neurons=query.neurons,
-                            samples=query.samples,
-                            outcome="completed",
-                            attempts=1,
-                        )
-                        tracer.record_span(
-                            "attempt",
-                            track="queries",
-                            start=now,
-                            end=now + outcome.latency_seconds,
-                            parent=query_span,
-                            attempt=1,
-                            cold_starts=outcome.cold_starts,
-                            warm_starts=outcome.warm_starts,
-                        )
-                in_flight += 1
-                heapq.heappush(events, (finished, _COMPLETION, seq, None))
-                seq += 1
-
-        try:
-            self.backend.begin(workload)
-            if use_cache:
-                self.backend.set_outcome_caching(True)
-            for policy in policies:
-                policy.begin(workload)
-            while events:
-                now, kind, _, payload = heapq.heappop(events)
-                if kind == _ARRIVAL:
-                    assert payload is not None
-                    decision = None
-                    for policy in policies:
-                        decision = policy.on_arrival(payload, now)
-                        if decision is not None:
-                            break
-                    if decision is None:
-                        pending.append((payload,))
-                    elif decision.tick_at is not None:
-                        heapq.heappush(events, (decision.tick_at, _POLICY_TICK, seq, None))
-                        seq += 1
-                elif kind == _COMPLETION:
-                    in_flight -= 1
-                    for policy in policies:
-                        policy.on_completion(
-                            now, in_flight=in_flight, queue_depth=len(pending)
-                        )
-                else:  # policy tick
-                    for policy in policies:
-                        for unit in policy.on_tick(now):
-                            if unit:
-                                pending.append(tuple(unit))
-                admit(now)
-                if tracer is not None:
-                    tracer.gauge_sample("server.queue_depth", float(len(pending)), now)
-                    tracer.gauge_sample("server.in_flight", float(in_flight), now)
-
-            cost = self.backend.finish()
-        finally:
-            if use_cache:
-                self.backend.set_outcome_caching(False)
-            if chaos is not None:
-                hooks.injector = None
-                hooks.channel_retry = None
-            if tracer is not None:
-                hooks.tracer = None
-        if tracer is not None:
-            serve_end = max((record.finished_at for record in records), default=0.0)
-            tracer.end_span(serve_span, serve_end)
-        return ServingReport(
-            backend=self.backend.name,
-            config=self.config,
-            horizon_seconds=workload.horizon_seconds,
-            records=records,
-            cost=cost,
-            peak_concurrent_queries=peak_overlap(
-                (record.started_at, record.finished_at) for record in records
-            ),
-            peak_concurrent_workers=peak_overlap(self.backend.worker_intervals()),
-            channel_stats=channel_total,
-            fault_counts=dict(injector.injected_counts) if injector is not None else {},
-            telemetry=tracer,
-        )
+        loop = ServeLoop if config.chaos is None else _ResilientLoop
+        return loop(self, workload).serve()

@@ -20,6 +20,7 @@ import heapq
 import pytest
 
 from repro import (
+    BatchCoalescingPolicy,
     Campaign,
     CloudEnvironment,
     ConcurrencyConfig,
@@ -32,9 +33,11 @@ from repro import (
     InferenceServer,
     PoissonProcess,
     QueryWorkloadFactory,
+    QueueDepthAutoscaler,
     Scenario,
     ServingConfig,
     SporadicWorkload,
+    TelemetryConfig,
     Variant,
     build_graph_challenge_model,
     generate_sporadic_workload,
@@ -233,6 +236,25 @@ class TestByteIdentity:
         )
         serialized = InferenceServer(_queue_backend(tiny_model), config_serial).serve(workload)
         interleaved = InferenceServer(_queue_backend(tiny_model), config_inter).serve(workload)
+        assert interleaved.records == serialized.records
+        assert interleaved.summary() == serialized.summary()
+
+    def test_unbounded_interleave_with_policies_traced(self, tiny_model):
+        """Coalescing and autoscaling drive both loops identically, traced."""
+        workload = _flash_crowd(count=10)
+
+        def config(**extra):
+            return ServingConfig(
+                policies=(BatchCoalescingPolicy(0.03), QueueDepthAutoscaler(1, 3, 2)),
+                telemetry=TelemetryConfig(),
+                **extra,
+            )
+
+        serialized = InferenceServer(_queue_backend(tiny_model), config()).serve(workload)
+        interleaved = InferenceServer(
+            _queue_backend(tiny_model), config(concurrency=ConcurrencyConfig())
+        ).serve(workload)
+        assert serialized.coalesced_query_count > 0
         assert interleaved.records == serialized.records
         assert interleaved.summary() == serialized.summary()
 

@@ -24,6 +24,7 @@ import numpy as np
 import pytest
 
 from repro import (
+    BatchCoalescingPolicy,
     Campaign,
     ChaosConfig,
     CloudEnvironment,
@@ -114,6 +115,20 @@ class TestColumnarExactParity:
             backend, ServingConfig(replay_mode="auto", max_concurrent_queries=1)
         ).serve(workload)
         assert report.replay_mode is None
+
+    @pytest.mark.parametrize(
+        "config_kwargs",
+        [
+            {"policies": (BatchCoalescingPolicy(0.03),)},
+            {"chaos": ChaosConfig(plan=FaultPlan(processes=(), seed=1))},
+            {"max_concurrent_queries": 1},
+        ],
+        ids=["policies", "chaos", "bound"],
+    )
+    def test_columnar_rejects_what_it_cannot_honour(self, config_kwargs):
+        (name,) = config_kwargs
+        with pytest.raises(ValueError, match=f"replay_mode='columnar'.*{name}"):
+            ServingConfig(replay_mode="columnar", **config_kwargs)
 
     def test_empty_workload_falls_back(self, tiny_model):
         backend = _serial_backend(tiny_model)

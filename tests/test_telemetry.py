@@ -20,13 +20,19 @@ import json
 import pytest
 
 from repro import (
+    BatchCoalescingPolicy,
+    ChaosConfig,
     CloudEnvironment,
     EngineConfig,
+    FaultPlan,
     FSDServingBackend,
     GraphChallengeConfig,
+    InferenceQuery,
     InferenceServer,
     QueryWorkloadFactory,
+    QueueDepthAutoscaler,
     ServingConfig,
+    SporadicWorkload,
     TelemetryConfig,
     Variant,
     build_graph_challenge_model,
@@ -153,6 +159,32 @@ class TestSpanTree:
         assert all(s.track.startswith("faas:") for s in invocations)
         counters = traced.telemetry.summary()["counters"]
         assert counters["cloud.faas.invoke"] == len(invocations)
+
+
+class TestCoalescedEvents:
+    """Every merged unit the loop dispatches emits one ``coalesced`` event."""
+
+    @pytest.mark.parametrize(
+        "chaos", [None, ChaosConfig(plan=FaultPlan(processes=(), seed=1))], ids=["off", "on"]
+    )
+    def test_one_event_per_merged_unit(self, tiny_model, chaos):
+        workload = SporadicWorkload(
+            queries=[
+                InferenceQuery(query_id=i, arrival_time=0.01 * i, neurons=64, samples=4)
+                for i in range(10)
+            ]
+        )
+        config = ServingConfig(
+            policies=(BatchCoalescingPolicy(0.03), QueueDepthAutoscaler(1, 3, 2)),
+            chaos=chaos,
+            telemetry=TelemetryConfig(),
+        )
+        report = _serve(tiny_model, config, workload)
+        groups = {record.coalesced_group for record in report.records if record.was_coalesced}
+        events = [event for event in report.telemetry.events if event.name == "coalesced"]
+        assert len(groups) > 0
+        assert len(events) == len(groups)
+        assert {tuple(event.attrs["group"]) for event in events} == groups
 
 
 class TestColumnarParity:
