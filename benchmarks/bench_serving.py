@@ -25,7 +25,8 @@ memoisation on, recorded as a queries/second trajectory (with the exact
 loop's q/s measured on a downsampled head).  Every row asserts the fast
 path's head summary is bit-identical to the exact loop's under the same
 cache setting; the full sweep additionally asserts the million-query replay
-beats the exact loop by >= 100x.
+beats the exact loop by >= 100x, and the quick sweep exits non-zero unless its
+100k-query row's ``summary_digest`` equals the first quick record's.
 
 Usage::
 
@@ -52,6 +53,7 @@ from common import (  # noqa: E402
     SERVING_SEED,
     SERVING_WORKERS,
     append_record,
+    check_pinned_fingerprint,
     git_rev,
     serving_bench_workloads,
     serving_fsd_backend,
@@ -70,6 +72,10 @@ from repro import (  # noqa: E402
 )
 
 RESULT_PATH = _HERE.parent / "BENCH_serving.json"
+
+#: trace size of the quick ``--scale`` row whose summary digest is pinned: the
+#: first quick record with a row of this size in ``BENCH_serving.json``.
+SCALE_PIN_QUERIES = 100_000
 
 
 def _build_server(quick, coalesce_window=None):
@@ -216,6 +222,14 @@ def _scale_row(quick: bool, num_queries: int, head_queries: int) -> dict:
     }
 
 
+def _scale_digest(record: dict):
+    """``summary_digest`` of ``record``'s pinned-size scale row (or ``None``)."""
+    for row in record.get("scale", {}).get("rows", ()):
+        if row["num_queries"] == SCALE_PIN_QUERIES:
+            return row["summary_digest"]
+    return None
+
+
 def _scale_sweep(quick: bool) -> dict:
     sizes, head_queries = serving_scale_plan(quick)
     rows = [_scale_row(quick, size, head_queries) for size in sizes]
@@ -253,7 +267,21 @@ def run(
     else:
         record["replay"] = _replay(quick, coalesce_window)
 
-    append_record(RESULT_PATH, record)
+    # The quick scale sweep is pinned; a failed check aborts before the
+    # history file is touched.
+    append_record(
+        RESULT_PATH,
+        record,
+        reference_check=(
+            (
+                lambda: check_pinned_fingerprint(
+                    RESULT_PATH, _scale_digest(record), label=None, pinned_of=_scale_digest
+                )
+            )
+            if scale and quick
+            else None
+        ),
+    )
 
     if scale:
         sweep = record["scale"]

@@ -30,7 +30,7 @@ import os
 import subprocess
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
 from repro import (
     CloudEnvironment,
@@ -260,28 +260,38 @@ def append_record(path: Path, record: dict, reference_check=None) -> None:
     path.write_text(json.dumps(history, indent=2) + "\n")
 
 
-def check_pinned_fingerprint(path: Path, fingerprint: str, label: str = "seed") -> None:
-    """Raise unless ``fingerprint`` equals the quick ``label`` record's in ``path``.
+def check_pinned_fingerprint(
+    path: Path,
+    fingerprint: str,
+    label: Optional[str] = "seed",
+    pinned_of: Callable[[dict], Optional[str]] = lambda record: record.get("fingerprint"),
+) -> None:
+    """Raise unless ``fingerprint`` equals the pinned value in ``path``.
 
-    A quick run replays exactly the configuration that record pinned, so a
-    change to what the serve loop computes fails here -- not only when two
-    replays in one run disagree.  A missing reference record also fails.
+    The pin is ``pinned_of(record)`` of the first quick record labelled
+    ``label`` (any label when ``None``) for which it is not ``None``; by
+    default a record's ``"fingerprint"``.  A quick run replays exactly the
+    configuration that record pinned, so a change to what the serve loop
+    computes fails here -- not only when two replays in one run disagree.  A
+    missing reference record also fails.
     """
     history = json.loads(path.read_text()) if path.exists() else {}
-    references = [
-        record
+    pins = [
+        pinned_of(record)
         for record in history.get("records", [])
-        if record.get("label") == label and record.get("quick")
+        if record.get("quick") and label in (None, record.get("label"))
     ]
-    if not references:
-        raise RuntimeError(f"no quick '{label}' record in {path.name} to check against")
-    pinned = references[0]["fingerprint"]
+    pins = [pin for pin in pins if pin is not None]
+    reference = "pinned" if label is None else f"pinned '{label}'"
+    if not pins:
+        raise RuntimeError(f"no quick {reference} record in {path.name} to check against")
+    pinned = pins[0]
     if fingerprint != pinned:
         raise RuntimeError(
-            f"quick fingerprint {fingerprint} differs from the pinned '{label}' "
+            f"quick fingerprint {fingerprint} differs from the {reference} "
             f"fingerprint {pinned} in {path.name}: the simulated results changed"
         )
-    print(f"  quick fingerprint matches the pinned '{label}' record ({pinned})")
+    print(f"  quick fingerprint matches the {reference} record ({pinned})")
 
 
 def git_rev() -> str:

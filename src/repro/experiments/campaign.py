@@ -42,7 +42,6 @@ from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple, Uni
 from ..chaos import ChaosConfig
 from ..concurrency import ConcurrencyConfig
 from ..serving import InferenceServer, SchedulingPolicy, ServingBackend, ServingConfig
-from ..serving.server import REPLAY_MODES
 from ..telemetry import TelemetryConfig
 from ..telemetry.export import write_chrome_trace
 from ..workloads import SporadicWorkload
@@ -93,14 +92,6 @@ class CellResult:
     #: simulated-fingerprint payload ``bench_serving.py`` records, untouched.
     summary: Dict[str, object]
     wall_seconds: float
-    #: whether the campaign replayed this cell with outcome memoisation on.
-    #: Cached replays time-translate recorded outcomes, which drifts floats
-    #: at the ~1e-12 level, so the flag joins the fingerprint payload -- but
-    #: only when ``True``, keeping every historical fingerprint byte-stable.
-    #: The *columnar* fast path is bit-identical to the exact loop and is
-    #: deliberately NOT part of the cell identity: a columnar replay of an
-    #: uncached cell must reproduce the exact loop's fingerprint.
-    outcome_cache: bool = False
     #: the recorded ``repro-trace-v1`` dict when the campaign ran with a
     #: telemetry axis (:class:`~repro.telemetry.TelemetryConfig`); ``None``
     #: otherwise.  Kept out of :attr:`fingerprint` and :meth:`to_dict` --
@@ -162,10 +153,6 @@ class CellResult:
         # keep their historical hash input untouched.
         if self.cell.concurrency != "none":
             payload["concurrency"] = self.cell.concurrency
-        # Same pattern for memoised replays: cache-off cells (the default)
-        # keep their historical hash input untouched.
-        if self.outcome_cache:
-            payload["outcome_cache"] = True
         canonical = json.dumps(payload, sort_keys=True, separators=(",", ":"))
         return hashlib.sha256(canonical.encode()).hexdigest()[:16]
 
@@ -184,8 +171,6 @@ class CellResult:
             exported["chaos"] = self.cell.chaos
         if self.cell.concurrency != "none":
             exported["concurrency"] = self.cell.concurrency
-        if self.outcome_cache:
-            exported["outcome_cache"] = True
         return exported
 
 
@@ -354,10 +339,7 @@ class Campaign:
         scenarios: ScenarioSpec,
         backends: Mapping[str, BackendFactory],
         policy_sets: Optional[Mapping[str, PolicyFactory]] = None,
-        max_concurrent_queries: Optional[int] = None,
         chaos_sets: Optional[Mapping[str, Optional[ChaosConfig]]] = None,
-        replay_mode: str = "exact",
-        outcome_cache: bool = False,
         telemetry: Optional[TelemetryConfig] = None,
         concurrency_sets: Optional[Mapping[str, Optional[ConcurrencyConfig]]] = None,
     ):
@@ -385,7 +367,6 @@ class Campaign:
         )
         if not self.policy_sets:
             raise ValueError("a campaign needs at least one policy set")
-        self.max_concurrent_queries = max_concurrent_queries
         self.chaos_sets: Dict[str, Optional[ChaosConfig]] = dict(
             chaos_sets if chaos_sets is not None else {"none": None}
         )
@@ -408,20 +389,6 @@ class Campaign:
                 "configs: their cross cells would be unservable (ServingConfig "
                 "rejects chaos together with concurrency)"
             )
-        # Replay-speed knobs, threaded into every cell's ServingConfig.
-        # ``replay_mode`` picks the event core ("exact" or the "auto"/
-        # "columnar" fast path); ``outcome_cache`` memoises whole executions
-        # across a cell's repeated (model, batch) fingerprints.  Both default
-        # off so historical campaign fingerprints replay unchanged.  Under
-        # "auto", policy, bounded and chaos cells fall back to the exact
-        # loop; ServingConfig rejects them under "columnar".
-        self.replay_mode = str(replay_mode)
-        if self.replay_mode not in REPLAY_MODES:
-            raise ValueError(
-                f"replay_mode must be one of {', '.join(map(repr, REPLAY_MODES))}; "
-                f"got {self.replay_mode!r}"
-            )
-        self.outcome_cache = bool(outcome_cache)
         # Opt-in telemetry axis: every cell serves with this TelemetryConfig
         # and carries its recorded trace on the CellResult.  ``None`` (the
         # default) keeps cells untraced and their fingerprints byte-stable.
@@ -473,11 +440,8 @@ class Campaign:
         server = InferenceServer(
             backend,
             ServingConfig(
-                max_concurrent_queries=self.max_concurrent_queries,
                 policies=policies,
                 chaos=chaos,
-                replay_mode=self.replay_mode,
-                outcome_cache=self.outcome_cache,
                 telemetry=self.telemetry,
                 concurrency=concurrency,
             ),
@@ -489,7 +453,6 @@ class Campaign:
             cell=cell,
             summary=report.summary(),
             wall_seconds=wall_seconds,
-            outcome_cache=self.outcome_cache,
             trace=None if report.telemetry is None else report.telemetry.to_dict(),
         )
 

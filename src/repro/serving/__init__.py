@@ -34,7 +34,6 @@ from .policies import (
 )
 from .replaycore import (
     LazyRecordList,
-    OutcomeCacheMixin,
     ReplayOutcomeCache,
     ReportColumns,
     batch_fingerprint,
@@ -70,7 +69,6 @@ __all__ = [
     "QueueDepthAutoscaler",
     "SchedulingPolicy",
     "LazyRecordList",
-    "OutcomeCacheMixin",
     "ReplayOutcomeCache",
     "ReportColumns",
     "batch_fingerprint",

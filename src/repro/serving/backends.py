@@ -50,7 +50,7 @@ from ..workloads import (
     generate_input_batch,
     merge_queries,
 )
-from .replaycore import OutcomeCacheMixin
+from .replaycore import ColumnarSink, ReplayOutcomeCache, cached_execute, worker_peak
 
 __all__ = [
     "QueryWorkloadFactory",
@@ -183,19 +183,64 @@ def split_batch_outcome(
 
 
 class ServingBackend(ABC):
-    """Execution substrate driven by the :class:`InferenceServer` scheduler."""
+    """Execution substrate driven by the :class:`InferenceServer` scheduler.
+
+    Every backend carries the Tier-A outcome cache
+    (:mod:`repro.serving.replaycore`).  A cached serve brackets its replay
+    with :meth:`open_outcome_cache`, :meth:`settle_outcome_cache` and
+    :meth:`close_outcome_cache`; outside that bracket every execution runs
+    the substrate.
+    """
 
     name: str = "backend"
     factory: QueryWorkloadFactory
-    #: True on backends mixing in Tier-A outcome memoisation
-    #: (:class:`~repro.serving.replaycore.OutcomeCacheMixin`).
-    supports_outcome_cache: bool = False
+    #: True where cold/warm starts depend on live platform state (the FaaS
+    #: warm pool): a cached outcome must then reproduce its recorded claim
+    #: pattern on the live pool before it is replayed.
+    cache_claims: bool = False
+    #: the outcome cache, built by the first cached serve and kept across
+    #: serves (entries stay valid: they are keyed on model size and batch).
+    outcome_cache: Optional[ReplayOutcomeCache] = None
+    _cache_active: bool = False
+    _cache_sink: Optional[ColumnarSink] = None
+    #: ledger position :meth:`begin` scoped the serve's cost report from.
+    _ledger_checkpoint: int = 0
 
     def begin(self, workload: SporadicWorkload) -> None:
-        """Called once before replay starts (checkpoints, standing bills)."""
+        """Called once before replay starts; opens the serve's ledger scope.
 
-    def set_outcome_caching(self, enabled: bool) -> None:
-        """Toggle Tier-A outcome memoisation (no-op without the mixin)."""
+        Overrides call this first, so standing bills they place (an
+        always-on fleet) land inside the scope.
+        """
+        cloud = getattr(self, "cloud", None)
+        if cloud is not None:
+            self._ledger_checkpoint = cloud.billing_checkpoint()
+
+    def open_outcome_cache(self) -> ColumnarSink:
+        """Switch the outcome cache on for one serve, right after :meth:`begin`.
+
+        Returns the serve's sink, seeded with the ledger slice :meth:`begin`
+        billed, so the sink's fold covers the whole serve scope.
+        """
+        if self.outcome_cache is None:
+            self.outcome_cache = ReplayOutcomeCache(claims=self.cache_claims)
+        sink = ColumnarSink()
+        cloud = getattr(self, "cloud", None)
+        if cloud is not None:
+            sink.add_ledger_slice(cloud.ledger._records, self._ledger_checkpoint)
+        self._cache_sink = sink
+        self._cache_active = True
+        return sink
+
+    def settle_outcome_cache(self) -> Tuple[CostReport, int]:
+        """After :meth:`finish`: the cached serve's cost report and worker peak."""
+        sink = self._cache_sink
+        return sink.cost_report(), worker_peak(self, sink)
+
+    def close_outcome_cache(self) -> None:
+        """Switch the outcome cache off again (safe to call when it is off)."""
+        self._cache_active = False
+        self._cache_sink = None
 
     @property
     def hooks(self) -> HookDomain:
@@ -238,13 +283,27 @@ class ServingBackend(ABC):
         batch: sparse.csr_matrix,
         at_time: float,
     ) -> QueryOutcome:
-        """Run the resolved ``(model, batch)`` starting at ``at_time``."""
+        """Run the resolved ``(model, batch)`` on the substrate at ``at_time``."""
+
+    def _on_cached_outcome(self, outcome: QueryOutcome, at_time: float) -> None:
+        """Per-hit bookkeeping of a replayed outcome (e.g. interval tracking)."""
+
+    def _run(
+        self,
+        query: InferenceQuery,
+        model: SparseDNN,
+        batch: sparse.csr_matrix,
+        at_time: float,
+    ) -> QueryOutcome:
+        if self._cache_active:
+            return cached_execute(self, query, model, batch, at_time)
+        return self._execute(query, model, batch, at_time)
 
     def execute(self, query: InferenceQuery, at_time: float) -> QueryOutcome:
         """Run ``query`` starting at ``at_time`` on the shared timeline."""
         model = self.factory.model_for(query.neurons)
         batch = self.factory.batch_for(query)
-        return self._execute(query, model, batch, at_time)
+        return self._run(query, model, batch, at_time)
 
     def execute_batch(
         self, queries: Sequence[InferenceQuery], at_time: float
@@ -266,19 +325,25 @@ class ServingBackend(ABC):
         batch = sparse.hstack(
             [self.factory.batch_for(query) for query in queries], format="csr"
         )
-        outcome = self._execute(merged, model, batch, at_time)
+        outcome = self._run(merged, model, batch, at_time)
         return split_batch_outcome(outcome, queries)
 
     def finish(self) -> CostReport:
-        """Called once after replay; returns the cost scoped to this serve."""
-        return CostReport()
+        """Called once after replay; returns the cost billed since :meth:`begin`.
+
+        Cloud-less backends bill nothing and return an empty report.
+        """
+        cloud = getattr(self, "cloud", None)
+        if cloud is None:
+            return CostReport()
+        return cloud.report_since(self._ledger_checkpoint)
 
     def worker_intervals(self) -> List[Tuple[float, float]]:
         """(start, end) spans of backend compute units active during the serve."""
         return []
 
 
-class FSDServingBackend(OutcomeCacheMixin, ServingBackend):
+class FSDServingBackend(ServingBackend):
     """FSD-Inference on the shared simulated cloud.
 
     Engines, partition plans and staged payloads are cached per neuron
@@ -309,7 +374,6 @@ class FSDServingBackend(OutcomeCacheMixin, ServingBackend):
         self._plan_for = plan_for
         self._engines: Dict[int, FSDInference] = {}
         self._plans: Dict[int, PartitionPlan] = {}
-        self._ledger_checkpoint = 0
         self._records_checkpoint = 0
         self._saved_keepalive: Optional[float] = None
         self.name = "fsd"
@@ -328,7 +392,7 @@ class FSDServingBackend(OutcomeCacheMixin, ServingBackend):
         return self._plans[neurons]
 
     def begin(self, workload: SporadicWorkload) -> None:
-        self._ledger_checkpoint = self.cloud.billing_checkpoint()
+        super().begin(workload)
         self._records_checkpoint = len(self.cloud.faas.invocation_records)
         # Opt the platform into time-gated warm reuse for the duration of the
         # serve: on a shared timeline a "warm" start only makes sense if an
@@ -340,7 +404,7 @@ class FSDServingBackend(OutcomeCacheMixin, ServingBackend):
         if self.warm_keepalive_seconds is not None and self._saved_keepalive is None:
             self.cloud.faas.warm_keepalive_seconds = self.warm_keepalive_seconds
 
-    def _execute_real(
+    def _execute(
         self,
         query: InferenceQuery,
         model: SparseDNN,
@@ -385,14 +449,14 @@ class FSDServingBackend(OutcomeCacheMixin, ServingBackend):
 
     def finish(self) -> CostReport:
         self.cloud.faas.warm_keepalive_seconds = self._saved_keepalive
-        return self.cloud.report_since(self._ledger_checkpoint)
+        return super().finish()
 
     def worker_intervals(self) -> List[Tuple[float, float]]:
         records = self.cloud.faas.invocation_records[self._records_checkpoint:]
         return [(record.started_at, record.finished_at) for record in records]
 
 
-class ServerServingBackend(OutcomeCacheMixin, ServingBackend):
+class ServerServingBackend(ServingBackend):
     """The server baselines behind the shared scheduler.
 
     Job-scoped mode provisions (and bills) an instance per query; the
@@ -413,12 +477,11 @@ class ServerServingBackend(OutcomeCacheMixin, ServingBackend):
         self.factory = factory or QueryWorkloadFactory()
         self.instance_type = instance_type
         self.always_on_instances = always_on_instances
-        self._ledger_checkpoint = 0
         self._intervals: List[Tuple[float, float]] = []
         self.name = f"server-{mode.value}"
 
     def begin(self, workload: SporadicWorkload) -> None:
-        self._ledger_checkpoint = self.cloud.billing_checkpoint()
+        super().begin(workload)
         self._intervals = []
         if self.mode is not ServerMode.JOB_SCOPED:
             fleet_kwargs = {}
@@ -434,7 +497,7 @@ class ServerServingBackend(OutcomeCacheMixin, ServingBackend):
     def _on_cached_outcome(self, outcome: QueryOutcome, at_time: float) -> None:
         self._intervals.append((at_time, at_time + outcome.latency_seconds))
 
-    def _execute_real(
+    def _execute(
         self,
         query: InferenceQuery,
         model: SparseDNN,
@@ -458,14 +521,11 @@ class ServerServingBackend(OutcomeCacheMixin, ServingBackend):
             result=result,
         )
 
-    def finish(self) -> CostReport:
-        return self.cloud.report_since(self._ledger_checkpoint)
-
     def worker_intervals(self) -> List[Tuple[float, float]]:
         return list(self._intervals)
 
 
-class EndpointServingBackend(OutcomeCacheMixin, ServingBackend):
+class EndpointServingBackend(ServingBackend):
     """The managed serverless endpoint behind the shared scheduler."""
 
     def __init__(
@@ -477,18 +537,17 @@ class EndpointServingBackend(OutcomeCacheMixin, ServingBackend):
         self.cloud = cloud
         self.factory = factory or QueryWorkloadFactory()
         self.limits = limits
-        self._ledger_checkpoint = 0
         self._intervals: List[Tuple[float, float]] = []
         self.name = "endpoint"
 
     def begin(self, workload: SporadicWorkload) -> None:
-        self._ledger_checkpoint = self.cloud.billing_checkpoint()
+        super().begin(workload)
         self._intervals = []
 
     def _on_cached_outcome(self, outcome: QueryOutcome, at_time: float) -> None:
         self._intervals.append((at_time, at_time + outcome.latency_seconds))
 
-    def _execute_real(
+    def _execute(
         self,
         query: InferenceQuery,
         model: SparseDNN,
@@ -504,14 +563,11 @@ class EndpointServingBackend(OutcomeCacheMixin, ServingBackend):
             result=result,
         )
 
-    def finish(self) -> CostReport:
-        return self.cloud.report_since(self._ledger_checkpoint)
-
     def worker_intervals(self) -> List[Tuple[float, float]]:
         return list(self._intervals)
 
 
-class HPCServingBackend(OutcomeCacheMixin, ServingBackend):
+class HPCServingBackend(ServingBackend):
     """H-SpFF on the shared scheduler (latency only; the paper has no cost)."""
 
     def __init__(
@@ -530,12 +586,13 @@ class HPCServingBackend(OutcomeCacheMixin, ServingBackend):
         self.name = f"hpc-{ranks}"
 
     def begin(self, workload: SporadicWorkload) -> None:
+        super().begin(workload)
         self._intervals = []
 
     def _on_cached_outcome(self, outcome: QueryOutcome, at_time: float) -> None:
         self._intervals.append((at_time, at_time + outcome.latency_seconds))
 
-    def _execute_real(
+    def _execute(
         self,
         query: InferenceQuery,
         model: SparseDNN,

@@ -1,4 +1,4 @@
-"""The vectorized replay core: two tiers of fast path behind ``serve()``.
+"""The vectorized replay core: the outcome cache and the columnar event core.
 
 Replaying a day of sporadic traffic is dominated by re-simulating the same
 handful of ``(model size, batch)`` combinations thousands of times.  This
@@ -6,12 +6,13 @@ module collapses that cost in two tiers, both behind the unchanged
 :meth:`~repro.serving.server.InferenceServer.serve` surface:
 
 **Tier A -- whole-execution outcome memoisation** (:class:`ReplayOutcomeCache`,
-:class:`OutcomeCacheMixin`).  A backend execution is keyed on ``(model size,
-batch fingerprint)`` plus -- for the FaaS backend -- the *cold/warm claim
-pattern* the execution observed on the warm pool.  A hit replays the
-recorded latency, cost, billing and channel-stats deltas translated to the
-new ``at_time`` instead of re-simulating the engine.  Two rules keep the
-cache honest:
+:func:`cached_execute`).  Every :class:`~repro.serving.backends.ServingBackend`
+carries one cache.  An execution is keyed on ``(model size, batch
+fingerprint)`` plus -- for the FaaS backend -- the *cold/warm claim pattern*
+the execution observed on the warm pool.  A hit replays the recorded
+latency, cost, billing and channel-stats deltas translated to the new
+``at_time`` instead of re-simulating the engine.  Two rules keep the cache
+honest:
 
 * **seen-once rule**: nothing is recorded from the *first* real execution of
   a key, so one-time setup (engine build, partition planning, function
@@ -23,12 +24,19 @@ cache honest:
   can never shadow each other -- and the pool copies are only committed on a
   full match.
 
+A cached serve -- the exact event loop and the columnar core alike -- opens
+one :class:`ColumnarSink` (``ServingBackend.open_outcome_cache``).  Misses
+add the ledger slice they really billed; hits add their entry's shared cost
+arrays, never per-record ledger objects.  The sink's fold is the serve's
+cost report, and its hit intervals join the backend's real ones for the
+worker peak.  The ledger and the FaaS invocation history therefore hold only
+the executions that really ran.
+
 Time translation is *not* bit-exact (absolute-time float arithmetic drifts
 in the last bits, ~1e-12 relative), so the cache is **opt-in**
 (``ServingConfig(outcome_cache=True)``) and every historical fingerprint is
 produced with it off.  What *is* bit-exact -- and locked by tests -- is the
-equivalence of the tiers below against the exact event loop **under the same
-cache setting**.
+equivalence of the two event cores **under the same cache setting**.
 
 **Tier B -- columnar event core** (:func:`columnar_serve`).  When no
 policies, no chaos and no admission bound are configured, the heap/deque
@@ -54,7 +62,7 @@ import numpy as np
 from scipy import sparse
 
 from ..cloud.billing import CostReport, UsageRecord
-from ..cloud.faas import InvocationRecord, claim_from_pool
+from ..cloud.faas import claim_from_pool
 from ..comm import ChannelStats
 
 __all__ = [
@@ -62,11 +70,12 @@ __all__ = [
     "batch_fingerprint",
     "OutcomeEntry",
     "ReplayOutcomeCache",
-    "OutcomeCacheMixin",
+    "cached_execute",
     "ColumnarSink",
     "ReportColumns",
     "LazyRecordList",
     "peak_overlap_arrays",
+    "worker_peak",
     "columnar_serve",
 ]
 
@@ -74,6 +83,10 @@ __all__ = [
 #: to vectorize accumulation: ``sum of vecs`` is exactly ``accumulate`` folds.
 # detlint: allow[DET004] dataclass field order is declaration order, deterministic across runs
 CHANNEL_FIELDS: Tuple[str, ...] = tuple(vars(ChannelStats()).keys())
+
+
+#: entries kept per cache key, one per observed cold/warm claim pattern (MRU).
+MAX_ENTRIES_PER_KEY = 8
 
 
 def batch_fingerprint(batch: sparse.spmatrix) -> bytes:
@@ -170,6 +183,10 @@ class OutcomeEntry:
     Everything time-like is stored relative to the recording's ``at_time``;
     a replay adds the new ``at_time`` back (the same float operation the
     simulator itself performs, so replays agree with each other bit-for-bit).
+    A hit is accounted in a :class:`ColumnarSink` only: the recorded usage
+    records are folded through :meth:`cost_block` and the invocation times
+    become the sink's hit intervals; nothing is appended to the ledger or to
+    the invocation history.
     """
 
     __slots__ = (
@@ -181,13 +198,10 @@ class OutcomeEntry:
         "channel_vec",
         "result",
         "usage_records",
-        "usage_ts_rel",
         "pool_events",
         "pool_fns",
-        "inv_records",
         "inv_rel_started",
         "inv_rel_finished",
-        "inv_id_offsets",
         "inv_count",
         "_cost_block",
     )
@@ -199,7 +213,6 @@ class OutcomeEntry:
         faas: Any,
         ledger_start: int,
         records_start: int,
-        id_start: int,
         events: Optional[List[Tuple]],
         at_time: float,
         outcome: Any,
@@ -213,53 +226,32 @@ class OutcomeEntry:
         entry.channel_vec = _channel_vec(outcome.channel_stats)
         entry.result = outcome.result
         entry._cost_block = None
+        entry.usage_records = cloud.ledger._records[ledger_start:] if cloud is not None else []
 
-        if cloud is not None:
-            usage = cloud.ledger._records[ledger_start:]
-        else:
-            usage = []
-        entry.usage_records = usage
-        entry.usage_ts_rel = np.fromiter(
-            (record.timestamp - at_time for record in usage), np.float64, count=len(usage)
+        invocations = faas.invocation_records[records_start:] if faas is not None else []
+        entry.inv_count = len(invocations)
+        entry.inv_rel_started = np.fromiter(
+            (record.started_at - at_time for record in invocations),
+            np.float64,
+            count=len(invocations),
         )
-
-        if faas is not None:
-            invocations = faas.invocation_records[records_start:]
-            entry.inv_records = invocations
-            entry.inv_count = len(invocations)
-            entry.inv_rel_started = np.fromiter(
-                (record.started_at - at_time for record in invocations),
-                np.float64,
-                count=len(invocations),
-            )
-            entry.inv_rel_finished = np.fromiter(
-                (record.finished_at - at_time for record in invocations),
-                np.float64,
-                count=len(invocations),
-            )
-            entry.inv_id_offsets = [
-                record.invocation_id - id_start for record in invocations
-            ]
-            pool_events: List[Tuple] = []
-            fns = set()
-            for event in events or ():
-                if event[0] == "claim":
-                    _, name, request_time, cold = event
-                    pool_events.append(("claim", name, request_time - at_time, cold))
-                else:
-                    _, name, freed_at = event
-                    pool_events.append(("free", name, freed_at - at_time))
-                fns.add(event[1])
-            entry.pool_events = pool_events
-            entry.pool_fns = tuple(fns)
-        else:
-            entry.inv_records = []
-            entry.inv_count = 0
-            entry.inv_rel_started = np.empty(0)
-            entry.inv_rel_finished = np.empty(0)
-            entry.inv_id_offsets = []
-            entry.pool_events = []
-            entry.pool_fns = ()
+        entry.inv_rel_finished = np.fromiter(
+            (record.finished_at - at_time for record in invocations),
+            np.float64,
+            count=len(invocations),
+        )
+        pool_events: List[Tuple] = []
+        fns = set()
+        for event in events or ():
+            if event[0] == "claim":
+                _, name, request_time, cold = event
+                pool_events.append(("claim", name, request_time - at_time, cold))
+            else:
+                _, name, freed_at = event
+                pool_events.append(("free", name, freed_at - at_time))
+            fns.add(event[1])
+        entry.pool_events = pool_events
+        entry.pool_fns = tuple(fns)
         return entry
 
     def cost_block(self) -> _CostBlock:
@@ -281,47 +273,6 @@ class OutcomeEntry:
             result=self.result,
         )
 
-    def materialise(self, cloud: Any, faas: Any, at_time: float) -> None:
-        """Append the translated billing/invocation records for one replay.
-
-        This is the exact-loop hit path: the ledger and invocation history
-        must look as if the execution really ran at ``at_time``, so scoped
-        ``report_since`` folds and ``worker_intervals`` stay exact.
-        """
-        if cloud is not None and self.usage_records:
-            records = cloud.ledger._records
-            for record, rel in zip(self.usage_records, self.usage_ts_rel.tolist()):
-                records.append(
-                    UsageRecord(
-                        service=record.service,
-                        operation=record.operation,
-                        resource=record.resource,
-                        quantity=record.quantity,
-                        cost=record.cost,
-                        timestamp=at_time + rel,
-                    )
-                )
-        if faas is not None and self.inv_count:
-            base = faas._next_invocation_id
-            started = self.inv_rel_started.tolist()
-            finished = self.inv_rel_finished.tolist()
-            for index, record in enumerate(self.inv_records):
-                faas.invocation_records.append(
-                    InvocationRecord(
-                        function_name=record.function_name,
-                        invocation_id=base + self.inv_id_offsets[index],
-                        started_at=at_time + started[index],
-                        finished_at=at_time + finished[index],
-                        runtime_seconds=record.runtime_seconds,
-                        memory_mb=record.memory_mb,
-                        cold=record.cold,
-                        gb_seconds=record.gb_seconds,
-                        cost=record.cost,
-                        failed_reason=record.failed_reason,
-                    )
-                )
-            faas._next_invocation_id = base + self.inv_count
-
 
 class ReplayOutcomeCache:
     """Keyed store of :class:`OutcomeEntry` with claim-pattern matching.
@@ -334,9 +285,8 @@ class ReplayOutcomeCache:
     key up to time translation).
     """
 
-    def __init__(self, claims: bool = False, max_entries_per_key: int = 8):
+    def __init__(self, claims: bool = False):
         self.claims = claims
-        self._max_entries = max_entries_per_key
         self._entries: Dict[Tuple, List[OutcomeEntry]] = {}
         self._seen: Dict[Tuple, int] = {}
         self._digests: Dict[Tuple[int, int], bytes] = {}
@@ -406,16 +356,14 @@ class ReplayOutcomeCache:
             previous_log = faas.replay_log
             faas.replay_log = []
             records_start = len(faas.invocation_records)
-            id_start = faas._next_invocation_id
         else:
             previous_log = None
             records_start = 0
-            id_start = 0
-        return (cloud, faas, ledger_start, records_start, id_start, previous_log)
+        return (cloud, faas, ledger_start, records_start, previous_log)
 
     @staticmethod
     def abort_capture(token: Tuple) -> None:
-        _, faas, _, _, _, previous_log = token
+        _, faas, _, _, previous_log = token
         if faas is not None:
             faas.replay_log = previous_log
 
@@ -425,18 +373,17 @@ class ReplayOutcomeCache:
         key: Tuple,
         at_time: float,
         outcome: Any,
-        sink: Optional["ColumnarSink"],
+        sink: "ColumnarSink",
     ) -> None:
-        cloud, faas, ledger_start, records_start, id_start, previous_log = token
+        cloud, faas, ledger_start, records_start, previous_log = token
         events = None
         if faas is not None:
             events = faas.replay_log
             faas.replay_log = previous_log
-        if sink is not None:
-            if cloud is not None:
-                sink.add_ledger_slice(cloud.ledger._records, ledger_start)
-            if outcome.channel_stats is not None:
-                sink.miss_channel.accumulate(outcome.channel_stats)
+        if cloud is not None:
+            sink.add_ledger_slice(cloud.ledger._records, ledger_start)
+        if outcome.channel_stats is not None:
+            sink.miss_channel.accumulate(outcome.channel_stats)
         seen = self._seen.get(key, 0)
         self._seen[key] = seen + 1
         if seen < 1:
@@ -445,103 +392,21 @@ class ReplayOutcomeCache:
             # must never be replayed as marginal per-query cost.
             return
         entry = OutcomeEntry.capture(
-            cloud, faas, ledger_start, records_start, id_start, events, at_time, outcome
+            cloud, faas, ledger_start, records_start, events, at_time, outcome
         )
         bucket = self._entries.setdefault(key, [])
         bucket.insert(0, entry)
-        del bucket[self._max_entries :]
-
-
-class OutcomeCacheMixin:
-    """Grafts Tier-A outcome memoisation onto a :class:`ServingBackend`.
-
-    Concrete backends rename their substrate call to ``_execute_real``; the
-    mixin's ``_execute`` consults the cache first.  ``cache_claims`` marks
-    backends whose cold/warm behaviour depends on live platform state (the
-    FaaS warm pool); claims-free backends replay unconditionally.
-    """
-
-    supports_outcome_cache = True
-    cache_claims = False
-
-    outcome_cache: Optional[ReplayOutcomeCache] = None
-    _cache_active = False
-    _cache_sink: Optional["ColumnarSink"] = None
-
-    def set_outcome_caching(self, enabled: bool) -> None:
-        if enabled and self.outcome_cache is None:
-            self.outcome_cache = ReplayOutcomeCache(claims=self.cache_claims)
-        self._cache_active = bool(enabled)
-        if not enabled:
-            self._cache_sink = None
-
-    # -- wiring helpers -------------------------------------------------------
-
-    def _cache_cloud(self) -> Any:
-        return getattr(self, "cloud", None)
-
-    def _cache_faas(self) -> Any:
-        if not self.cache_claims:
-            return None
-        cloud = self._cache_cloud()
-        return cloud.faas if cloud is not None else None
-
-    def _cache_key(self, query: Any, batch: sparse.spmatrix) -> Tuple:
-        samples = batch.shape[1]
-        cache = self.outcome_cache
-        canonical = self.factory._batches.get((query.neurons, samples))
-        if canonical is batch:
-            digest = cache.canonical_digest(query.neurons, samples, batch)
-        else:
-            digest = batch_fingerprint(batch)
-        return (query.neurons, samples, digest)
-
-    def _on_cached_outcome(self, outcome: Any, at_time: float) -> None:
-        """Hook for per-hit backend bookkeeping (e.g. interval tracking)."""
-
-    # -- the cached execution path -------------------------------------------
-
-    def _execute(self, query, model, batch, at_time):
-        if not self._cache_active:
-            return self._execute_real(query, model, batch, at_time)
-        cache = self.outcome_cache
-        faas = self._cache_faas()
-        key = self._cache_key(query, batch)
-        hit = cache.lookup(key, at_time, faas)
-        if hit is not None:
-            entry, pools = hit
-            if pools is not None:
-                cache.commit_pools(faas, pools)
-            sink = self._cache_sink
-            if sink is not None:
-                # Columnar mode: stream the delta; skip materialising
-                # per-record ledger objects (1M queries would mean ~3e8 of
-                # them).  Invocation ids still advance for consistency.
-                sink.on_hit(entry, at_time)
-                if faas is not None and entry.inv_count:
-                    faas._next_invocation_id += entry.inv_count
-            else:
-                entry.materialise(self._cache_cloud(), faas, at_time)
-            outcome = entry.outcome()
-            self._on_cached_outcome(outcome, at_time)
-            return outcome
-        token = cache.begin_capture(self._cache_cloud(), faas)
-        try:
-            outcome = self._execute_real(query, model, batch, at_time)
-        except BaseException:
-            cache.abort_capture(token)
-            raise
-        cache.end_capture(token, key, at_time, outcome, self._cache_sink)
-        return outcome
+        del bucket[MAX_ENTRIES_PER_KEY:]
 
 
 class ColumnarSink:
-    """Collects cost/channel/interval deltas during a columnar serve.
+    """Collects cost/channel/interval deltas during a cached serve.
 
-    Hits contribute their entry's shared arrays (no per-record objects);
-    misses contribute the ledger slice they really appended.  The stream is
-    folded into a :class:`CostReport` bit-identical to the exact loop's
-    scoped ``report_since`` fold over the same record sequence.
+    Both event cores use it.  Hits contribute their entry's shared arrays
+    (no per-record objects); misses contribute the ledger slice they really
+    appended, in execution order.  The stream is folded into a
+    :class:`CostReport` bit-identical to the ledger's ``report_since`` fold
+    over the same record sequence.
     """
 
     def __init__(self) -> None:
@@ -603,6 +468,52 @@ class ColumnarSink:
                 starts.append((at[:, None] + entry.inv_rel_started).ravel())
                 ends.append((at[:, None] + entry.inv_rel_finished).ravel())
         return starts, ends
+
+
+def _cache_key(backend: Any, query: Any, batch: sparse.spmatrix) -> Tuple:
+    samples = batch.shape[1]
+    canonical = backend.factory._batches.get((query.neurons, samples))
+    if canonical is batch:
+        digest = backend.outcome_cache.canonical_digest(query.neurons, samples, batch)
+    else:
+        digest = batch_fingerprint(batch)
+    return (query.neurons, samples, digest)
+
+
+def cached_execute(backend: Any, query: Any, model: Any, batch: sparse.spmatrix, at_time: float):
+    """Run one execution of ``backend`` through its open outcome cache.
+
+    A hit streams the recorded delta into the serve's sink and advances the
+    FaaS invocation ids it would have used; a miss runs ``backend._execute``
+    under a capture that feeds the sink the ledger slice it billed.
+    ``backend.cache_claims`` marks backends whose cold/warm behaviour depends
+    on live platform state (the FaaS warm pool); claims-free backends replay
+    unconditionally.
+    """
+    cache = backend.outcome_cache
+    sink = backend._cache_sink
+    cloud = getattr(backend, "cloud", None)
+    faas = cloud.faas if backend.cache_claims and cloud is not None else None
+    key = _cache_key(backend, query, batch)
+    hit = cache.lookup(key, at_time, faas)
+    if hit is not None:
+        entry, pools = hit
+        if pools is not None:
+            cache.commit_pools(faas, pools)
+        sink.on_hit(entry, at_time)
+        if faas is not None:
+            faas._next_invocation_id += entry.inv_count
+        outcome = entry.outcome()
+        backend._on_cached_outcome(outcome, at_time)
+        return outcome
+    token = cache.begin_capture(cloud, faas)
+    try:
+        outcome = backend._execute(query, model, batch, at_time)
+    except BaseException:
+        cache.abort_capture(token)
+        raise
+    cache.end_capture(token, key, at_time, outcome, sink)
+    return outcome
 
 
 def peak_overlap_arrays(starts: np.ndarray, ends: np.ndarray) -> int:
@@ -757,9 +668,8 @@ def _trace_columns(queries: Sequence) -> Tuple[np.ndarray, ...]:
     return order, query_id[order], arrival[order], neurons, samples
 
 
-def _worker_peak(
-    backend, sink: Optional[ColumnarSink]
-) -> int:
+def worker_peak(backend: Any, sink: Optional[ColumnarSink] = None) -> int:
+    """Peak concurrent workers: the backend's real intervals plus ``sink``'s hits."""
     starts: List[np.ndarray] = []
     ends: List[np.ndarray] = []
     intervals = backend.worker_intervals()
@@ -792,9 +702,6 @@ def columnar_serve(server, workload):
     if n == 0:
         return None
 
-    use_cache = bool(config.outcome_cache) and getattr(
-        backend, "supports_outcome_cache", False
-    )
     order, query_id, arrival, neurons, samples = _trace_columns(queries)
     order_list = order.tolist()
     tenants: Optional[List[Optional[str]]] = [queries[i].tenant for i in order_list]
@@ -809,7 +716,6 @@ def columnar_serve(server, workload):
     hooks = backend.hooks
     tracer, serve_span = arm_tracer(config, backend)
 
-    cloud = getattr(backend, "cloud", None)
     sink: Optional[ColumnarSink] = None
     arrival_list = arrival.tolist()
     costs: List[float] = []
@@ -818,16 +724,9 @@ def columnar_serve(server, workload):
     warms: List[int] = []
     channel_total = ChannelStats()
     try:
-        pre_begin = cloud.billing_checkpoint() if cloud is not None else None
         backend.begin(workload)
-        if use_cache:
-            backend.set_outcome_caching(True)
-            sink = ColumnarSink()
-            backend._cache_sink = sink
-            if cloud is not None:
-                # Standing bills placed by begin() (e.g. an always-on fleet)
-                # are part of the serve-scoped cost fold.
-                sink.add_ledger_slice(cloud.ledger._records, pre_begin)
+        if config.outcome_cache:
+            sink = backend.open_outcome_cache()
         for i in range(n):
             query = queries[order_list[i]]
             at_time = arrival_list[i]
@@ -847,13 +746,16 @@ def columnar_serve(server, workload):
                     at_time,
                     at_time + outcome.latency_seconds,
                 )
-        finish_report = backend.finish()
-        cost_report = sink.cost_report() if sink is not None else finish_report
-        peak_workers = _worker_peak(backend, sink)
-        stats = sink.channel_stats() if sink is not None else channel_total
+        cost_report = backend.finish()
+        if sink is None:
+            peak_workers = worker_peak(backend)
+            stats = channel_total
+        else:
+            cost_report, peak_workers = backend.settle_outcome_cache()
+            stats = sink.channel_stats()
     finally:
-        if use_cache:
-            backend.set_outcome_caching(False)
+        if config.outcome_cache:
+            backend.close_outcome_cache()
         if tracer is not None:
             hooks.tracer = None
 

@@ -136,8 +136,10 @@ class ServingConfig:
     #: opt into Tier-A whole-execution outcome memoisation
     #: (:mod:`repro.serving.replaycore`).  Off by default: replayed deltas
     #: are time-translated, which is exact only to ~1e-12 relative, so every
-    #: historical fingerprint is produced with the cache off.  Chaos serves
-    #: always bypass the cache regardless of this flag.
+    #: historical fingerprint is produced with the cache off.  A cached serve
+    #: accounts hits in a sink, not in the cloud ledger or the FaaS
+    #: invocation history; those keep only the executions that really ran.
+    #: Chaos and interleaved serves always bypass the cache.
     outcome_cache: bool = False
     #: replay strategy: ``"exact"`` (the event loop, default), ``"columnar"``
     #: (the Tier-B numpy fast path; rejected together with policies, chaos
@@ -684,6 +686,8 @@ class ServeLoop:
         self.injector = None
         self.tracer: Optional[Tracer] = None
         self.serve_span: Optional[Span] = None
+        #: worker peak a cached serve settled from its sink; ``None`` otherwise.
+        self.peak_workers: Optional[int] = None
 
     def push(self, when: float, kind: int, payload: object = None) -> None:
         heapq.heappush(self.events, (when, kind, self.seq, payload))
@@ -812,7 +816,7 @@ class ServeLoop:
         try:
             backend.begin(workload)
             if use_cache:
-                backend.set_outcome_caching(True)
+                backend.open_outcome_cache()
             for policy in policies:
                 policy.begin(workload)
             while events:
@@ -844,10 +848,13 @@ class ServeLoop:
                 if tracer is not None:
                     tracer.gauge_sample("server.queue_depth", float(len(pending)), now)
                     tracer.gauge_sample("server.in_flight", float(self.in_flight), now)
-            return backend.finish()
+            cost = backend.finish()
+            if use_cache:
+                cost, self.peak_workers = backend.settle_outcome_cache()
+            return cost
         finally:
             if use_cache:
-                backend.set_outcome_caching(False)
+                backend.close_outcome_cache()
             if chaos is not None:
                 hooks.injector = None
                 hooks.channel_retry = None
@@ -862,6 +869,9 @@ class ServeLoop:
         if self.tracer is not None:
             serve_end = max((record.finished_at for record in records), default=0.0)
             self.tracer.end_span(self.serve_span, serve_end)
+        peak_workers = self.peak_workers
+        if peak_workers is None:
+            peak_workers = peak_overlap(self.backend.worker_intervals())
         return ServingReport(
             backend=self.backend.name,
             config=self.config,
@@ -871,7 +881,7 @@ class ServeLoop:
             peak_concurrent_queries=peak_overlap(
                 (record.started_at, record.finished_at) for record in records
             ),
-            peak_concurrent_workers=peak_overlap(self.backend.worker_intervals()),
+            peak_concurrent_workers=peak_workers,
             channel_stats=self.channel_total,
             fault_counts=dict(self.injector.injected_counts) if self.injector is not None else {},
             telemetry=self.tracer,

@@ -1,21 +1,24 @@
-"""Tests for the vectorized replay core (Tier A/B/C fast paths).
+"""Tests for the vectorized replay core (outcome cache and columnar core).
 
 Locks the replay-performance contracts:
 
 1. *Bit-identity under the same cache setting*: the columnar event core
    produces a ``summary()`` bit-identical to the exact event loop's, with the
-   outcome cache off AND with it on (property-style over several seeds).
+   outcome cache off AND with it on (property-style over several seeds, and
+   on every backend kind).
 2. *Cold and warm entries never shadow each other*: the FaaS claim-replay
    check rejects a cached warm execution when the live pool would resolve
    cold (and vice versa), so cached replays preserve exact cold/warm counts.
+   Under a batching policy the cached exact loop keeps the uncached serve's
+   counts, executions and worker peak, and its cost to float drift.
 3. *Chaos bypasses the cache entirely*: a chaos-configured serve never
    activates (or even constructs) the outcome cache and always runs the
    exact event loop, byte-identical to a cache-free chaos serve.
 4. ``peak_overlap_arrays`` is the array twin of ``peak_overlap`` (random
    interval sets including zero-length and touching intervals).
-5. Fluid mode is tagged and approximately exact; the sorted-latency memo
-   invalidates on record-count changes; ``from_queries`` vectorized
-   validation keeps the scalar walk's messages and precedence.
+5. The sorted-latency memo invalidates on record-count changes;
+   ``from_queries`` vectorized validation keeps the scalar walk's messages
+   and precedence.
 """
 
 from __future__ import annotations
@@ -25,7 +28,6 @@ import pytest
 
 from repro import (
     BatchCoalescingPolicy,
-    Campaign,
     ChaosConfig,
     CloudEnvironment,
     EngineConfig,
@@ -41,8 +43,14 @@ from repro import (
     build_graph_challenge_model,
     generate_sporadic_workload,
 )
-from repro.experiments.campaign import CampaignCell, CellResult
-from repro.serving import peak_overlap, peak_overlap_arrays
+from repro.serving import (
+    EndpointBackendSpec,
+    FSDBackendSpec,
+    HPCBackendSpec,
+    ServerBackendSpec,
+    peak_overlap,
+    peak_overlap_arrays,
+)
 from repro.serving.replaycore import LazyRecordList
 
 
@@ -130,6 +138,10 @@ class TestColumnarExactParity:
         with pytest.raises(ValueError, match=f"replay_mode='columnar'.*{name}"):
             ServingConfig(replay_mode="columnar", **config_kwargs)
 
+    def test_unknown_replay_mode_rejected(self):
+        with pytest.raises(ValueError, match="replay_mode must be one of"):
+            ServingConfig(replay_mode="warp")
+
     def test_empty_workload_falls_back(self, tiny_model):
         backend = _serial_backend(tiny_model)
         report = InferenceServer(backend, ServingConfig(replay_mode="auto")).serve(
@@ -197,6 +209,60 @@ class TestOutcomeCacheSemantics:
         assert backend_cached.outcome_cache is None
         assert backend_cached._cache_active is False
         assert cached.summary() == plain.summary()
+
+
+#: one factory per backend kind; a small two-size model keeps serves fast.
+BACKEND_SPECS = {
+    "fsd": FSDBackendSpec(layers=2),
+    "server-job-scoped": ServerBackendSpec(mode="job_scoped", layers=2),
+    "server-always-on-hot": ServerBackendSpec(mode="always_on_hot", layers=2),
+    "endpoint": EndpointBackendSpec(layers=2),
+    "hpc-4": HPCBackendSpec(ranks=4, layers=2),
+}
+
+
+def _two_size_day():
+    # 40 queries over four hours: gaps straddle the FaaS keepalive and the
+    # coalescing window below, so the cache sees cold, warm and merged keys.
+    return generate_sporadic_workload(
+        daily_samples=40 * 4,
+        batch_size=4,
+        neuron_counts=(64, 128),
+        seed=5,
+        horizon_seconds=4 * 3600.0,
+    )
+
+
+def _spec_serve(spec, workload, **config_kwargs):
+    return InferenceServer(spec(), ServingConfig(**config_kwargs)).serve(workload)
+
+
+@pytest.mark.parametrize("spec", BACKEND_SPECS.values(), ids=BACKEND_SPECS.keys())
+class TestOutcomeCacheAcrossBackends:
+    """Every backend kind carries the cache, and both cores account it alike."""
+
+    @pytest.mark.parametrize("cache", [False, True], ids=["cache-off", "cache-on"])
+    def test_columnar_matches_exact(self, spec, cache):
+        workload = _two_size_day()
+        exact = _spec_serve(spec, workload, outcome_cache=cache)
+        fast = _spec_serve(spec, workload, outcome_cache=cache, replay_mode="columnar")
+        assert fast.replay_mode == "columnar"
+        assert fast.summary() == exact.summary()
+
+    def test_cached_batching_serve_keeps_the_uncached_counts(self, spec):
+        workload = _two_size_day()
+        policy = {"policies": (BatchCoalescingPolicy(600.0),)}
+        plain = _spec_serve(spec, workload, **policy)
+        cached = _spec_serve(spec, workload, outcome_cache=True, **policy)
+        for key in (
+            "num_queries",
+            "cold_start_count",
+            "warm_start_count",
+            "execution_count",
+            "peak_concurrent_workers",
+        ):
+            assert cached.summary()[key] == plain.summary()[key], key
+        assert cached.cost.total == pytest.approx(plain.cost.total, rel=1e-9)
 
 
 class TestPeakOverlapArrays:
@@ -270,33 +336,3 @@ class TestFromQueriesValidation:
             [self._q(0, 0.0), self._q(1, 0.0), self._q(2, 3.5)]
         )
         assert workload.num_queries == 3
-
-
-class TestCampaignReplayKnobs:
-    def test_cache_off_fingerprint_payload_unchanged(self):
-        cell = CampaignCell("s", "b")
-        summary = {"num_queries": 1, "cost_total": 1.0, "cold_start_count": 1, "warm_start_count": 0}
-        default = CellResult(cell=cell, summary=summary, wall_seconds=0.0)
-        explicit = CellResult(
-            cell=cell, summary=summary, wall_seconds=9.9, outcome_cache=False
-        )
-        assert default.fingerprint == explicit.fingerprint
-        assert "outcome_cache" not in default.to_dict()
-
-    def test_cache_on_changes_fingerprint_and_is_exported(self):
-        cell = CampaignCell("s", "b")
-        summary = {"num_queries": 1, "cost_total": 1.0, "cold_start_count": 1, "warm_start_count": 0}
-        plain = CellResult(cell=cell, summary=summary, wall_seconds=0.0)
-        cached = CellResult(
-            cell=cell, summary=summary, wall_seconds=0.0, outcome_cache=True
-        )
-        assert cached.fingerprint != plain.fingerprint
-        assert cached.to_dict()["outcome_cache"] is True
-
-    def test_campaign_rejects_unknown_replay_mode(self):
-        scenario = type(
-            "S", (), {"name": "s", "build": lambda self: SporadicWorkload(queries=[])}
-        )()
-        with pytest.raises(ValueError, match="replay_mode"):
-            # detlint: allow[DET006] constructor-rejection fixture; the campaign never runs
-            Campaign([scenario], {"b": lambda: None}, replay_mode="warp")
